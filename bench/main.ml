@@ -380,6 +380,21 @@ let routing_only_suite () =
   in
   routing_micro runs
 
+(* Peak resident set size in MB: [VmHWM] from /proc/self/status, or
+   [None] where procfs is unavailable. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | line when String.starts_with ~prefix:"VmHWM:" line ->
+        Scanf.sscanf line "VmHWM: %d kB" (fun kb -> Some (kb / 1024))
+      | _ -> scan ()
+      | exception End_of_file -> None
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
 let scaling () =
   hr "SCALING: establishment at fixed per-node load (8 req/node, mux=3)";
   (* Tiers run serially (not through the pool): the 64x64 tier dominates
@@ -461,7 +476,15 @@ let scaling () =
   (* The routing micro tier rides on the loaded 16x16/64x64 states the
      scaling run just built, so every gated scaling run also gates the
      search-kernel equivalence cells. *)
-  routing_micro runs
+  routing_micro runs;
+  (* The process high-water mark over the whole run: CI holds the 64x64
+     tier under a committed RSS ceiling. *)
+  match peak_rss_mb () with
+  | None -> ()
+  | Some mb ->
+    Printf.printf "timing: peak rss %d MB\n" mb;
+    kernel_timings :=
+      ("scaling peak rss (MB)", float_of_int mb) :: !kernel_timings
 
 (* ------------- Churn suite: steady-state lifecycles (--churn-only) ---- *)
 
@@ -657,8 +680,8 @@ let bench_mux_register () =
          Bcp.Mux.register mux ~link:0 candidate;
          Bcp.Mux.unregister mux ~link:0 ~backup:9999))
 
-(* 33 components ≈ a 16-hop primary: the shared_count kernels compare the
-   sorted-array merge with the bitset AND+popcount on identical inputs. *)
+(* 33 components ≈ a 16-hop primary, as input to the reference
+   sorted-array merge. *)
 let shared_kernel_arrays () =
   let mk off =
     Array.init 33 (fun k -> off + (2 * k * 3))
@@ -666,24 +689,14 @@ let shared_kernel_arrays () =
   (mk 0, mk 24)
 
 (* 32 counts per run: the single-op cost (~50-300 ns) sits below the
-   harness measurement floor, so batching is what makes the merge/bitset
-   gap visible in the ns/run estimates. *)
+   harness measurement floor, so batching is what makes it visible in the
+   ns/run estimates. *)
 let bench_shared_count_sorted () =
   let a, b = shared_kernel_arrays () in
   Test.make ~name:"shared_count sorted-array merge (33 comps, x32)"
     (Staged.stage (fun () ->
          for _ = 1 to 32 do
            ignore (Bcp.Mux.shared_count a b)
-         done))
-
-let bench_shared_count_bitset () =
-  let a, b = shared_kernel_arrays () in
-  let ba = Option.get (Bcp.Mux.bitset_of_components a) in
-  let bb = Option.get (Bcp.Mux.bitset_of_components b) in
-  Test.make ~name:"shared_count bitset popcount (33 comps, x32)"
-    (Staged.stage (fun () ->
-         for _ = 1 to 32 do
-           ignore (Bcp.Mux.shared_count_bitset ba bb)
          done))
 
 let bench_dijkstra () =
@@ -712,7 +725,6 @@ let benchmarks () =
     bench_mux_required_with ();
     bench_mux_register ();
     bench_shared_count_sorted ();
-    bench_shared_count_bitset ();
     bench_dijkstra ();
     bench_engine ();
   ]

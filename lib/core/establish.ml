@@ -71,9 +71,9 @@ let route_backup ?tie_break ?(strategy = Min_hops)
           (Net.Path.components topo conn.Dconn.primary.Rtchan.Channel.path);
     }
   in
-  (* One admission probe per candidate: every link's conflict prefilter
-     (bitset overlap + S-values against the link's table) runs once per
-     candidate, however many times the routing search relaxes the link. *)
+  (* One admission probe per candidate: every link's table scan (primary
+     overlap and S-values against each slot) runs once per candidate,
+     however many times the routing search relaxes the link. *)
   let probe = Netstate.admission_probe ns info in
   (* The QoS hop budget is relative to the shortest path available *to
      this channel*: disjoint from the connection's other channels and

@@ -19,9 +19,8 @@ let encode_components set =
   a
 
 (* Reference intersection count: two-pointer merge over the sorted encoded
-   arrays.  Kept as the fallback for component encodings outside the bitset
-   range and as the oracle the bitset path is tested (and benchmarked)
-   against. *)
+   arrays.  The engine counts overlap with the marks kernel below; this is
+   the oracle the kernel is tested against. *)
 let shared_count a b =
   let la = Array.length a and lb = Array.length b in
   let rec go i j acc =
@@ -32,47 +31,42 @@ let shared_count a b =
   in
   go 0 0 0
 
-(* ---------------- fixed-width bitsets over encoded components ----------- *)
+(* ---------------- overlap kernel ---------------- *)
 
-let bits_per_word = 63 (* OCaml native ints: stay within the positive range *)
-let max_bitset_bits = 65536 (* ~1k words: caps memory for hostile encodings *)
+(* Domain-local, epoch-stamped component marks: [mark.(c) = tag] iff the
+   encoded component [c] belongs to the candidate of the current table
+   scan.  Each scan takes a fresh tag, so the array is never cleared; it
+   grows on demand to the largest code seen.  At most one live user per
+   domain: a scan marks its candidate, counts every slot's overlap against
+   the marks in O(|slot primary|), and never nests another scan. *)
+type marks = { mutable mark : int array; mutable tag : int }
 
-let bitset_of_components a =
-  let n = Array.length a in
-  if n = 0 then Some [||]
-  else begin
-    let lo = ref a.(0) and hi = ref a.(0) in
-    Array.iter
-      (fun c ->
-        if c < !lo then lo := c;
-        if c > !hi then hi := c)
-      a;
-    if !lo < 0 || !hi >= max_bitset_bits then None
-    else begin
-      let words = (!hi / bits_per_word) + 1 in
-      let b = Array.make words 0 in
-      Array.iter
-        (fun c ->
-          b.(c / bits_per_word) <-
-            b.(c / bits_per_word) lor (1 lsl (c mod bits_per_word)))
-        a;
-      Some b
-    end
-  end
+let marks_key = Domain.DLS.new_key (fun () -> { mark = [||]; tag = 0 })
 
-let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-  go w 0
+let mark_candidate comps =
+  let m = Domain.DLS.get marks_key in
+  m.tag <- m.tag + 1;
+  Array.iter
+    (fun c ->
+      if c < 0 then
+        invalid_arg (Printf.sprintf "Mux: negative component code %d" c);
+      if c >= Array.length m.mark then begin
+        let nm = Array.make (max (c + 1) (2 * Array.length m.mark)) 0 in
+        Array.blit m.mark 0 nm 0 (Array.length m.mark);
+        m.mark <- nm
+      end;
+      m.mark.(c) <- m.tag)
+    comps;
+  m
 
-let shared_count_bitset a b =
-  let n = min (Array.length a) (Array.length b) in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := !acc + popcount (a.(i) land b.(i))
+let marked_count m comps =
+  let mark = m.mark and tag = m.tag in
+  let n = ref 0 in
+  for k = 0 to Array.length comps - 1 do
+    let c = comps.(k) in
+    if c < Array.length mark && mark.(c) = tag then incr n
   done;
-  !acc
-
-module Iset = Set.Make (Int)
+  !n
 
 (* Lazy-deletion max-heap item: an item is live iff the backup is still
    registered in the slot and its generation matches (its contribution has
@@ -96,7 +90,6 @@ type link_table = {
   mutable pi_bws : float array; (* cached Σ bw over Π *)
   mutable gens : int array; (* bumped when the contribution changes *)
   mutable comps : int array array; (* sorted encoded primary components *)
-  mutable bits : int array option array; (* None -> merge-scan fallback *)
   mutable pis : Ids.Ivec.t array; (* Π as an ascending-sorted bid vector *)
   index : (int, int) Hashtbl.t; (* backup id -> slot *)
   mutable free : int array;
@@ -111,17 +104,11 @@ type link_table = {
          reborn entry's generation *)
 }
 
-type s_cached = { ca : int array; cb : int array; s : float }
-
 type t = {
   tables : link_table array;
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
   mutable pows : float array; (* (1-λ)^c memo; NaN = not yet computed *)
-  scache : (int * int, s_cached) Hashtbl.t;
-      (* symmetric S(B_i, B_j) by backup-id pair, for registered pairs *)
-  reg_count : (int, int) Hashtbl.t; (* backup id -> #links registered on *)
-  mutable retired : Iset.t; (* fully-unregistered ids pending cache sweep *)
   mutable stamp : int; (* bumped on every register/unregister *)
   mutable self_check : bool; (* cross-check vs the full recompute *)
 }
@@ -142,7 +129,6 @@ let create topo ~lambda =
             pi_bws = [||];
             gens = [||];
             comps = [||];
-            bits = [||];
             pis = [||];
             index = Hashtbl.create 16;
             free = [||];
@@ -163,9 +149,6 @@ let create topo ~lambda =
       Array.make
         (max 64 ((4 * Net.Topology.num_nodes topo) + 8))
         Float.nan;
-    scache = Hashtbl.create 1024;
-    reg_count = Hashtbl.create 256;
-    retired = Iset.empty;
     stamp = 0;
     self_check = false;
   }
@@ -212,34 +195,10 @@ let pow t c =
 let s_of_counts t ~c_i ~c_j ~sc =
   1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
 
-let overlap a_comps a_bits b_comps b_bits =
-  match (a_bits, b_bits) with
-  | Some x, Some y -> shared_count_bitset x y
-  | _ -> shared_count a_comps b_comps
-
-(* S(B_i, B_j) from the two primaries' component sets (symmetric). *)
-let s_value_raw t a_comps a_bits b_comps b_bits =
-  let c_i = Array.length a_comps and c_j = Array.length b_comps in
-  let sc = overlap a_comps a_bits b_comps b_bits in
-  s_of_counts t ~c_i ~c_j ~sc
-
-(* Cached S for a registered (or being-registered) pair.  The stored
-   component arrays are compared physically: a backup id recycled with a
-   different primary can never see a stale value. *)
-let s_between_slots t tab ~a_bid ~a_comps ~a_bits ~b_slot =
-  let b_bid = tab.bids.(b_slot) in
-  let b_comps = tab.comps.(b_slot) in
-  let lo_comps, hi_comps =
-    if a_bid <= b_bid then (a_comps, b_comps) else (b_comps, a_comps)
-  in
-  let key = (min a_bid b_bid, max a_bid b_bid) in
-  match Hashtbl.find_opt t.scache key with
-  | Some c when c.ca == lo_comps && c.cb == hi_comps -> c.s
-  | _ ->
-    let s = s_value_raw t a_comps a_bits b_comps tab.bits.(b_slot) in
-    if Hashtbl.length t.scache > 2_000_000 then Hashtbl.reset t.scache;
-    Hashtbl.replace t.scache key { ca = lo_comps; cb = hi_comps; s };
-    s
+(* S(candidate, slot primary) for the candidate marked in [m]; the
+   candidate is [B_i] in the expression, which is symmetric bit for bit. *)
+let s_marked t m ~c_i comps =
+  s_of_counts t ~c_i ~c_j:(Array.length comps) ~sc:(marked_count m comps)
 
 (* Two backups of the same connection protect the same primary: they are
    never multiplexed together (both activate when the primary dies).
@@ -299,37 +258,6 @@ let push_contribution tab s =
   Sim.Heap.push tab.heap
     { hc = contribution tab s; hbid = tab.bids.(s); hgen = tab.gens.(s) }
 
-let note_registered t bid =
-  Hashtbl.replace t.reg_count bid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.reg_count bid));
-  t.retired <- Iset.remove bid t.retired;
-  t.stamp <- t.stamp + 1
-
-(* On the last unregistration of a backup id, queue its S-cache entries for
-   removal; sweeps are batched to stay O(cache) only once per 128 retired
-   ids. *)
-let note_unregistered t bid =
-  t.stamp <- t.stamp + 1;
-  match Hashtbl.find_opt t.reg_count bid with
-  | None -> ()
-  | Some n when n > 1 -> Hashtbl.replace t.reg_count bid (n - 1)
-  | Some _ ->
-    Hashtbl.remove t.reg_count bid;
-    t.retired <- Iset.add bid t.retired;
-    if Iset.cardinal t.retired >= 128 then begin
-      (* One batched S-cache sweep per 128 retired ids; the counter
-         exposes the sweep cadence (kernel batches) under churn. *)
-      Sim.Prof.count "mux.scache.sweep";
-      let doomed = ref [] in
-      Hashtbl.iter
-        (fun ((a, b) as key) _ ->
-          if Iset.mem a t.retired || Iset.mem b t.retired then
-            doomed := key :: !doomed)
-        t.scache;
-      List.iter (Hashtbl.remove t.scache) !doomed;
-      t.retired <- Iset.empty
-    end
-
 let grow_table tab =
   let cap = Array.length tab.bids in
   let ncap = max 8 (2 * cap) in
@@ -346,7 +274,6 @@ let grow_table tab =
   tab.pi_bws <- gi 0.0 tab.pi_bws;
   tab.gens <- gi 0 tab.gens;
   tab.comps <- gi [||] tab.comps;
-  tab.bits <- gi None tab.bits;
   let npis = Array.make ncap (Ids.Ivec.create ()) in
   Array.blit tab.pis 0 npis 0 cap;
   for i = cap to ncap - 1 do
@@ -369,7 +296,6 @@ let alloc_slot tab =
 let free_slot tab s =
   tab.bids.(s) <- -1;
   tab.comps.(s) <- [||];
-  tab.bits.(s) <- None;
   Ids.Ivec.clear tab.pis.(s);
   if tab.free_len = Array.length tab.free then begin
     let nf = Array.make (max 8 (2 * tab.free_len)) 0 in
@@ -386,6 +312,8 @@ let register t ~link info =
     invalid_arg
       (Printf.sprintf "Mux.register: backup %d already on link %d" info.backup
          link);
+  let m = mark_candidate info.primary_components in
+  let c_i = Array.length info.primary_components in
   let slot = alloc_slot tab in
   tab.bids.(slot) <- info.backup;
   tab.conns.(slot) <- info.conn;
@@ -395,34 +323,17 @@ let register t ~link info =
   tab.pi_bws.(slot) <- 0.0;
   tab.gens.(slot) <- next_gen tab;
   tab.comps.(slot) <- info.primary_components;
-  tab.bits.(slot) <- bitset_of_components info.primary_components;
   let fresh_pi = tab.pis.(slot) in
-  let a_bits = tab.bits.(slot) in
   for s = 0 to tab.n - 1 do
     if s <> slot && tab.bids.(s) >= 0 then begin
-      (* Both Π directions share one S computation; the short-circuits are
-         those of the original [conflicts] predicate. *)
-      let computed = ref false and sv = ref 0.0 in
-      let s_val () =
-        if not !computed then begin
-          sv :=
-            s_between_slots t tab ~a_bid:info.backup
-              ~a_comps:info.primary_components ~a_bits ~b_slot:s;
-          computed := true
-        end;
-        !sv
-      in
-      if
-        tab.nus.(s) <= info.nu
-        && (info.conn = tab.conns.(s) || s_val () >= info.nu)
-      then begin
+      (* Both Π directions share one S computation. *)
+      let same = info.conn = tab.conns.(s) in
+      let sv = if same then 0.0 else s_marked t m ~c_i tab.comps.(s) in
+      if tab.nus.(s) <= info.nu && (same || sv >= info.nu) then begin
         Ids.Ivec.insert_sorted fresh_pi tab.bids.(s);
         tab.pi_bws.(slot) <- tab.pi_bws.(slot) +. tab.bws.(s)
       end;
-      if
-        info.nu <= tab.nus.(s)
-        && (tab.conns.(s) = info.conn || s_val () >= tab.nus.(s))
-      then begin
+      if info.nu <= tab.nus.(s) && (same || sv >= tab.nus.(s)) then begin
         Ids.Ivec.insert_sorted tab.pis.(s) info.backup;
         tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw;
         tab.gens.(s) <- next_gen tab;
@@ -435,7 +346,7 @@ let register t ~link info =
   tab.sum_bw <- tab.sum_bw +. info.bw;
   push_contribution tab slot;
   settle tab;
-  note_registered t info.backup;
+  t.stamp <- t.stamp + 1;
   if t.self_check then verify t tab ~link;
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
     ~pi:(Ids.Ivec.length fresh_pi)
@@ -463,7 +374,7 @@ let unregister t ~link ~backup =
       end
     done;
     settle tab;
-    note_unregistered t backup;
+    t.stamp <- t.stamp + 1;
     if t.self_check then verify t tab ~link;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
@@ -479,44 +390,27 @@ let upper_bound t ~link info =
   if Hashtbl.mem tab.index info.backup then tab.requirement
   else info.bw +. Float.max tab.sum_bw tab.requirement
 
-(* Shared admission scan: what the requirement would become with [info]
-   added.  [s_with s] must return S(info, slot s) and is invoked at most
-   once per entry. *)
-let admission_scan tab info s_with =
-  let own = ref info.bw in
-  let req = ref tab.requirement in
-  for s = 0 to tab.n - 1 do
-    if tab.bids.(s) >= 0 then begin
-      let computed = ref false and sv = ref 0.0 in
-      let s_val () =
-        if not !computed then begin
-          sv := s_with s;
-          computed := true
-        end;
-        !sv
-      in
-      if
-        tab.nus.(s) <= info.nu
-        && (info.conn = tab.conns.(s) || s_val () >= info.nu)
-      then own := !own +. tab.bws.(s);
-      if
-        info.nu <= tab.nus.(s)
-        && (tab.conns.(s) = info.conn || s_val () >= tab.nus.(s))
-      then begin
-        let c = contribution tab s +. info.bw in
-        if c > !req then req := c
-      end
-    end
-  done;
-  Float.max !own !req
-
 let required_with t ~link info =
   let tab = table t link in
   if Hashtbl.mem tab.index info.backup then tab.requirement
   else begin
-    let bits = bitset_of_components info.primary_components in
-    admission_scan tab info (fun s ->
-        s_value_raw t info.primary_components bits tab.comps.(s) tab.bits.(s))
+    let m = mark_candidate info.primary_components in
+    let c_i = Array.length info.primary_components in
+    let own = ref info.bw in
+    let req = ref tab.requirement in
+    for s = 0 to tab.n - 1 do
+      if tab.bids.(s) >= 0 then begin
+        let same = info.conn = tab.conns.(s) in
+        let sv = if same then 0.0 else s_marked t m ~c_i tab.comps.(s) in
+        if tab.nus.(s) <= info.nu && (same || sv >= info.nu) then
+          own := !own +. tab.bws.(s);
+        if info.nu <= tab.nus.(s) && (same || sv >= tab.nus.(s)) then begin
+          let c = contribution tab s +. info.bw in
+          if c > !req then req := c
+        end
+      end
+    done;
+    Float.max !own !req
   end
 
 let info_of_slot tab s =
@@ -558,16 +452,15 @@ let psi_size t ~link ~backup =
 
 let psi_size_with t ~link info =
   let tab = table t link in
-  let bits = bitset_of_components info.primary_components in
+  let m = mark_candidate info.primary_components in
+  let c_i = Array.length info.primary_components in
   let pi = ref 0 in
   for s = 0 to tab.n - 1 do
     if
       tab.bids.(s) >= 0
       && tab.nus.(s) <= info.nu
       && (info.conn = tab.conns.(s)
-         || s_value_raw t info.primary_components bits tab.comps.(s)
-              tab.bits.(s)
-            >= info.nu)
+         || s_marked t m ~c_i tab.comps.(s) >= info.nu)
     then incr pi
   done;
   tab.live - !pi
@@ -592,9 +485,7 @@ let max_requirement_victims t ~link =
 type probe = {
   pt : t;
   pinfo : backup_info;
-  pbits : int array option;
   mutable pstamp : int; (* memos valid while this matches [pt.stamp] *)
-  s_memo : (int, int array * float) Hashtbl.t; (* peer bid -> (comps, S) *)
   req_memo : (int, float) Hashtbl.t; (* link -> required_with *)
   psi_memo : (int, int) Hashtbl.t; (* link -> psi_size_with *)
 }
@@ -604,70 +495,31 @@ let probe t info =
   {
     pt = t;
     pinfo = info;
-    pbits = bitset_of_components info.primary_components;
     pstamp = t.stamp;
-    s_memo = Hashtbl.create 64;
     req_memo = Hashtbl.create 16;
     psi_memo = Hashtbl.create 16;
   }
 
 let probe_info p = p.pinfo
 
-let probe_refresh p =
+(* Per-link answers are memoized while the tables are unchanged.  Each
+   miss is one plain table scan on the calling domain's marks, so
+   concurrent read-only probes on separate domains are safe. *)
+let probe_memo p memo ~link scan =
   if p.pstamp <> p.pt.stamp then begin
-    Hashtbl.reset p.s_memo;
     Hashtbl.reset p.req_memo;
     Hashtbl.reset p.psi_memo;
     p.pstamp <- p.pt.stamp
-  end
-
-(* S(candidate, slot), cached across links while the tables are unchanged;
-   the stored component array is checked physically so an id registered
-   with different primaries on different links cannot alias.  Reads no
-   shared mutable state beyond the slot fields, so concurrent read-only
-   probes on separate domains are safe. *)
-let probe_s p tab s =
-  let bid = tab.bids.(s) in
-  let comps = tab.comps.(s) in
-  match Hashtbl.find_opt p.s_memo bid with
-  | Some (c, sv) when c == comps -> sv
-  | _ ->
-    let sv =
-      s_value_raw p.pt p.pinfo.primary_components p.pbits comps tab.bits.(s)
-    in
-    Hashtbl.replace p.s_memo bid (comps, sv);
-    sv
-
-let probe_required p ~link =
-  probe_refresh p;
-  match Hashtbl.find_opt p.req_memo link with
+  end;
+  match Hashtbl.find_opt memo link with
   | Some r -> r
   | None ->
-    let tab = table p.pt link in
-    let r =
-      if Hashtbl.mem tab.index p.pinfo.backup then tab.requirement
-      else admission_scan tab p.pinfo (probe_s p tab)
-    in
-    Hashtbl.add p.req_memo link r;
+    let r = scan p.pt ~link p.pinfo in
+    Hashtbl.add memo link r;
     r
+
+let probe_required p ~link = probe_memo p p.req_memo ~link required_with
 
 let probe_upper_bound p ~link = upper_bound p.pt ~link p.pinfo
 
-let probe_psi_size p ~link =
-  probe_refresh p;
-  match Hashtbl.find_opt p.psi_memo link with
-  | Some n -> n
-  | None ->
-    let tab = table p.pt link in
-    let info = p.pinfo in
-    let pi = ref 0 in
-    for s = 0 to tab.n - 1 do
-      if
-        tab.bids.(s) >= 0
-        && tab.nus.(s) <= info.nu
-        && (info.conn = tab.conns.(s) || probe_s p tab s >= info.nu)
-      then incr pi
-    done;
-    let n = tab.live - !pi in
-    Hashtbl.add p.psi_memo link n;
-    n
+let probe_psi_size p ~link = probe_memo p p.psi_memo ~link psi_size_with

@@ -15,12 +15,12 @@
     only pairwise terms with that backup (the O(n) scheme of Section 6).
     The engine keeps the hot path scalable on large networks:
 
-    - primary-component overlap is counted with fixed-width bitsets
-      (native-int words + popcount) instead of a sorted-array merge;
-    - the [(1-λ)^c] power table is memoized per engine and symmetric
-      [S(B_i, B_j)] values are cached by backup-id pair (invalidated when
-      an id leaves its last link; recycled ids are guarded by physical
-      equality of the component arrays);
+    - primary-component overlap is counted by one kernel: each table
+      scan marks the candidate's encoded components in a domain-local,
+      epoch-stamped scratch array, then reads every slot's stored sorted
+      component array against the marks, so the cost follows path
+      length, not network size, and no S-value is cached;
+    - the [(1-λ)^c] power table is memoized per engine;
     - each link's spare requirement is maintained incrementally in a
       lazy-deletion max-heap over per-backup contributions, so
       register/unregister cost O(log n) for the max update instead of a
@@ -28,7 +28,7 @@
       reference, see {!set_self_check});
     - per-link tables are structure-of-arrays: each registered backup
       occupies a dense slot and the admission-scan fields (ν, bw, cached
-      Π bandwidth, component bitset) live in parallel flat arrays, so the
+      Π bandwidth, primary components) live in parallel flat arrays, so the
       inner loops walk contiguous memory instead of hashtable buckets;
     - a per-link running Σbw feeds the O(1) {!upper_bound} ceiling, which
       lets admission fast-accept skip the exact scan entirely on
@@ -47,22 +47,16 @@ type backup_info = {
 
 val encode_component : Net.Component.t -> int
 val encode_components : Net.Component.Set.t -> int array
-(** Sorted encoding for fast intersection counting. *)
+(** Sorted, duplicate-free, non-negative encoding of a component set: the
+    form [primary_components] takes.  Every table scan
+    ({!register}, {!required_with}, {!psi_size_with} and the probes)
+    raises [Invalid_argument] naming the code when its candidate carries
+    a negative one. *)
 
 val shared_count : int array -> int array -> int
 (** Intersection size of two sorted, duplicate-free encoded-component
-    arrays (reference two-pointer merge; the engine itself uses the
-    bitset path below whenever the encodings fit). *)
-
-val bitset_of_components : int array -> int array option
-(** Pack a sorted, duplicate-free, non-negative encoded-component array
-    into a fixed-width bitset (63 bits per native-int word).  [None] when
-    an element is negative or beyond the bitset range (65536), in which
-    case callers fall back to {!shared_count}. *)
-
-val shared_count_bitset : int array -> int array -> int
-(** Intersection size of two component bitsets: AND + popcount per word,
-    O(components/63). *)
+    arrays: the reference two-pointer merge the engine's overlap kernel
+    is tested against. *)
 
 type t
 
@@ -91,9 +85,10 @@ val spare_requirement : t -> link:int -> float
 val required_with : t -> link:int -> backup_info -> float
 (** What the spare requirement would become if the backup were added —
     used by admission control during backup routing; does not modify the
-    table.  For repeated probes of one candidate across many links (the
-    establishment inner loop), build a {!probe} instead: it reuses the
-    candidate's bitset and pairwise S-values across calls. *)
+    table.  One scan of the link's table, O(Σ |slot primary|).  For
+    repeated probes of one candidate across many links (the establishment
+    inner loop), build a {!probe} instead: it memoizes the answer per
+    link. *)
 
 val upper_bound : t -> link:int -> backup_info -> float
 (** O(1) conservative ceiling on {!required_with}: when the backup is not
@@ -144,8 +139,8 @@ val reference_requirement : t -> link:int -> float
 (** {2 Candidate admission probes}
 
     A probe fixes one candidate backup and answers admission questions for
-    it on any link, reusing the candidate's component bitset and caching
-    pairwise S-values and per-link answers.  Memoized answers are
+    it on any link, memoizing the per-link answers; each miss is the same
+    table scan as {!required_with} or {!psi_size_with}.  Memoized answers are
     invalidated automatically when any registration changes, so a probe
     may be kept across table mutations; it simply recomputes on first use
     afterwards. *)

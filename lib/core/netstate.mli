@@ -76,9 +76,9 @@ val backup_admissible : t -> link:int -> Mux.backup_info -> bool
 
 val admission_probe : t -> Mux.backup_info -> Mux.probe
 (** Batched admission for one candidate backup across many links: the
-    returned probe reuses the candidate's bitset and pairwise S-values,
-    so routing searches should probe once per candidate rather than call
-    {!backup_admissible} per relaxation. *)
+    returned probe memoizes each link's answer, so routing searches
+    should probe once per candidate rather than call {!backup_admissible}
+    per relaxation. *)
 
 val backup_admissible_probe : t -> Mux.probe -> link:int -> bool
 (** {!backup_admissible} through a probe (memoized per link). *)

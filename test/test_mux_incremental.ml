@@ -1,5 +1,5 @@
-(* Fuzz the optimized multiplexing engine (bitset overlap, S-cache, pow
-   memo, incremental max-heap spare accounting) against a naive
+(* Fuzz the optimized multiplexing engine (marks overlap kernel, pow memo,
+   incremental max-heap spare accounting) against a naive
    full-recompute reference: after arbitrary register / unregister /
    required_with sequences on random topologies, every observable — spare
    requirement, Π sizes, conflict sets, Ψ, admission what-ifs — must match
@@ -10,15 +10,15 @@ let lambda = 1e-4
 
 let bandwidths = [| 0.5; 1.0; 1.5; 2.0; 3.0 |]
 
-(* Component families: plain small encodings, encodings beyond the bitset
-   range (merge-scan fallback), and negative encodings (also fallback). *)
+(* Component families: plain small encodings and two families of large
+   encodings, which grow the kernel's mark scratch mid-sequence. *)
 let components_of ~family ~variant =
   let base = family * 10 in
   let cs =
     match variant mod 3 with
     | 0 -> [ base; base + 2; base + 4 ]
     | 1 -> [ base; base + 2; 70_000 + base ]
-    | _ -> [ -6 + family; base + 2; base + 4 ]
+    | _ -> [ 130_000 + family; base + 2; base + 4 ]
   in
   let a = Array.of_list (List.sort_uniq Int.compare cs) in
   a
@@ -242,46 +242,34 @@ let prop_probe_matches =
         (List.filteri (fun i _ -> i < 12) ops);
       true)
 
-(* Bitset intersection counting agrees with the reference sorted-array
-   merge whenever the encodings fit the bitset range. *)
-let prop_bitset_overlap =
-  let sorted_arr =
-    QCheck.Gen.(
-      map
-        (fun l -> Array.of_list (List.sort_uniq Int.compare l))
-        (list_size (int_range 0 40) (int_range 0 400)))
-  in
-  QCheck.Test.make ~name:"shared_count_bitset == shared_count" ~count:300
-    (QCheck.make
-       ~print:(fun (a, b) ->
-         Printf.sprintf "[%s] [%s]"
-           (String.concat ";" (List.map string_of_int (Array.to_list a)))
-           (String.concat ";" (List.map string_of_int (Array.to_list b))))
-       (QCheck.Gen.pair sorted_arr sorted_arr))
-    (fun (a, b) ->
-      let ba = Option.get (Bcp.Mux.bitset_of_components a) in
-      let bb = Option.get (Bcp.Mux.bitset_of_components b) in
-      Bcp.Mux.shared_count_bitset ba bb = Bcp.Mux.shared_count a b)
-
 (* ---------------- unit cases ---------------- *)
 
-let test_bitset_fallbacks () =
-  Alcotest.(check bool)
-    "negative components have no bitset" true
-    (Bcp.Mux.bitset_of_components [| -4; 2; 8 |] = None);
-  Alcotest.(check bool)
-    "out-of-range components have no bitset" true
-    (Bcp.Mux.bitset_of_components [| 2; 70_000 |] = None);
-  Alcotest.(check bool)
-    "empty set packs to the empty bitset" true
-    (Bcp.Mux.bitset_of_components [||] = Some [||]);
-  (* word-boundary encodings (bit 62/63) must round-trip *)
-  let a = [| 0; 62; 63; 125; 126 |] and b = [| 62; 63; 64; 126 |] in
-  Alcotest.(check int)
-    "boundary overlap" 3
-    (Bcp.Mux.shared_count_bitset
-       (Option.get (Bcp.Mux.bitset_of_components a))
-       (Option.get (Bcp.Mux.bitset_of_components b)))
+(* Every table scan rejects a negative component code before touching the
+   table, naming the code. *)
+let test_negative_code_rejected () =
+  let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
+  let info =
+    {
+      Bcp.Mux.backup = 1;
+      conn = 1;
+      serial = 1;
+      nu = 0.5;
+      bw = 1.0;
+      primary_components = [| -4; 2; 8 |];
+    }
+  in
+  let expect what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Mux: negative component code -4") (fun () ->
+        ignore (f ()))
+  in
+  expect "register" (fun () -> Bcp.Mux.register m ~link:0 info);
+  Alcotest.(check int) "table untouched" 0 (Bcp.Mux.count_on m ~link:0);
+  expect "required_with" (fun () -> Bcp.Mux.required_with m ~link:0 info);
+  expect "psi_size_with" (fun () -> Bcp.Mux.psi_size_with m ~link:0 info);
+  let p = Bcp.Mux.probe m info in
+  expect "probe_required" (fun () -> Bcp.Mux.probe_required p ~link:0);
+  expect "probe_psi_size" (fun () -> Bcp.Mux.probe_psi_size p ~link:0)
 
 let test_descriptive_lookup_errors () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
@@ -301,9 +289,9 @@ let test_descriptive_lookup_errors () =
     "conflict_set names link and backup" "Mux: backup 3 not on link 0"
     (expect_msg (fun () -> Bcp.Mux.conflict_set m ~link:0 ~backup:3))
 
-(* A backup id recycled with a different primary must not see a stale
-   cached S-value (physical-equality guard on the component arrays). *)
-let test_bid_recycling_no_stale_cache () =
+(* A backup id recycled with a different primary is re-evaluated against
+   its new primary. *)
+let test_bid_recycling_reevaluated () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
   Bcp.Mux.set_self_check m true;
   let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
@@ -327,6 +315,52 @@ let test_bid_recycling_no_stale_cache () =
   Bcp.Mux.register m ~link:0 (mk 2 [ 10; 12; 14 ]);
   Alcotest.(check (float 0.0)) "recycled id re-evaluated" 1.0
     (Bcp.Mux.spare_requirement m ~link:0)
+
+(* The mark scratch is shared by every mux on a domain.  On a fresh
+   domain (empty scratch), interleave scans of two muxes over different
+   topologies and check every answer against the naive reference.  B's
+   candidate grows the scratch after marking its small codes, which must
+   survive the growth.  It also marks the codes
+   of A's link-1 entry [bid 3]: stale marks would move A's candidate's
+   conflict from [bid 4] to [bid 3] and change the requirement. *)
+let test_shared_scratch_interleaving () =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
+  let mk bid bw cs =
+    {
+      Bcp.Mux.backup = bid;
+      conn = 100 + bid;
+      serial = 1;
+      nu;
+      bw;
+      primary_components = Array.of_list (List.sort_uniq Int.compare cs);
+    }
+  in
+  let a = Bcp.Mux.create (Net.Builders.ring ~nodes:6 ~capacity:100.0) ~lambda in
+  let b =
+    Bcp.Mux.create (Net.Builders.torus ~rows:3 ~cols:3 ~capacity:100.0) ~lambda
+  in
+  let a0 = [ mk 1 1.0 [ 10; 12; 14 ]; mk 2 1.5 [ 20; 22 ] ] in
+  let a1 = [ mk 3 1.0 [ 0; 2; 4 ]; mk 4 2.0 [ 10; 12; 14 ] ] in
+  let b0 = [ mk 5 1.0 [ 0; 2; 4 ]; mk 6 0.5 [ 7; 9 ] ] in
+  List.iter (Bcp.Mux.register a ~link:0) a0;
+  List.iter (Bcp.Mux.register a ~link:1) a1;
+  List.iter (Bcp.Mux.register b ~link:0) b0;
+  let cand_a = mk 7 0.5 [ 10; 12; 14 ] in
+  let cand_b = mk 8 0.5 [ 0; 2; 4; 130_000 ] in
+  let check what expected got = Alcotest.(check (float 0.0)) what expected got in
+  let p = Bcp.Mux.probe a cand_a in
+  check "probe on A link 0" (required_with_naive a0 cand_a)
+    (Bcp.Mux.probe_required p ~link:0);
+  check "required_with on B" (required_with_naive b0 cand_b)
+    (Bcp.Mux.required_with b ~link:0 cand_b);
+  check "probe on A link 1" (required_with_naive a1 cand_a)
+    (Bcp.Mux.probe_required p ~link:1);
+  Alcotest.(check int) "probe psi on A link 1"
+    (Bcp.Mux.psi_size_with a ~link:1 cand_a)
+    (Bcp.Mux.probe_psi_size p ~link:1);
+  check "fresh required_with on A link 1" 2.5
+    (Bcp.Mux.required_with a ~link:1 cand_a)
 
 (* Lazy-deletion heap generation collision: bury a big contribution under
    a bigger one, unregister it (stale heap item), re-register the same
@@ -363,15 +397,17 @@ let () =
   Alcotest.run "mux_incremental"
     [
       ( "reference",
-        qsuite [ prop_matches_reference; prop_probe_matches; prop_bitset_overlap ]
-      );
+        qsuite [ prop_matches_reference; prop_probe_matches ] );
       ( "units",
         [
-          Alcotest.test_case "bitset fallbacks" `Quick test_bitset_fallbacks;
+          Alcotest.test_case "negative component code rejected" `Quick
+            test_negative_code_rejected;
+          Alcotest.test_case "shared scratch across muxes" `Quick
+            test_shared_scratch_interleaving;
           Alcotest.test_case "descriptive lookup errors" `Quick
             test_descriptive_lookup_errors;
-          Alcotest.test_case "bid recycling vs S-cache" `Quick
-            test_bid_recycling_no_stale_cache;
+          Alcotest.test_case "recycled id re-evaluated" `Quick
+            test_bid_recycling_reevaluated;
           Alcotest.test_case "heap generation collision" `Quick
             test_heap_gen_collision;
         ] );
