@@ -52,7 +52,7 @@ let () =
 
   (* 4. The same failure through the real protocol: failure detection,
         RCC failure reports, bidirectional backup activation. *)
-  let sim = Bcp.Simnet.create ns in
+  let sim = Bcp.Simnet.create ~telemetry:true ns in
   Bcp.Simnet.fail_link sim ~at:0.010 failed_link;
   Bcp.Simnet.run ~until:0.100 sim;
   Bcp.Simnet.finalize sim;
@@ -70,5 +70,5 @@ let () =
 
   printf "@.protocol trace:@.";
   List.iter
-    (fun e -> printf "  %a@." Sim.Trace.pp_entry e)
-    (Sim.Trace.entries (Bcp.Simnet.trace sim))
+    (fun (time, ev) -> printf "  [%10.6f] %a@." time Sim.Event.pp ev)
+    (Bcp.Simnet.events sim)

@@ -46,7 +46,6 @@ type t = {
   topo : Net.Topology.t;
   ns : Netstate.t;
   cfg : Protocol.config;
-  trace : Sim.Trace.t;
   daemons : daemon array;
   mutable rcc : Rcc.Transport.t array;
   link_failed : bool array;
@@ -63,26 +62,34 @@ type t = {
   telemetry : bool;
   monitor : Sim.Monitor.t option;
   metrics : Sim.Metrics.t;
+  mutable events : (float * Sim.Event.t) array; (* typed stream, grows on demand *)
+  mutable nevents : int;
   mutable phases_observed : bool;
 }
 
 let engine t = t.engine
 let netstate t = t.ns
 let config t = t.cfg
-let trace t = t.trace
 let metrics t = t.metrics
+let events t = List.init t.nevents (Array.get t.events)
 let telemetry_enabled t = t.telemetry
 let now t = Sim.Engine.now t.engine
-
-let tracef t tag fmt = Sim.Trace.recordf t.trace ~time:(now t) ~tag fmt
 
 (* Record one typed event and bump its registry counter.  The whole body
    is behind [t.telemetry], so untraced runs pay a single branch. *)
 let emit t ev =
   if t.telemetry then begin
-    Sim.Trace.record_event t.trace ~time:(now t) ev;
+    let time = now t in
+    let cap = Array.length t.events in
+    if t.nevents = cap then begin
+      let grown = Array.make (if cap = 0 then 256 else 2 * cap) (time, ev) in
+      Array.blit t.events 0 grown 0 t.nevents;
+      t.events <- grown
+    end;
+    t.events.(t.nevents) <- (time, ev);
+    t.nevents <- t.nevents + 1;
     (match t.monitor with
-    | Some m -> Sim.Monitor.feed m ~time:(now t) ev
+    | Some m -> Sim.Monitor.feed m ~time ev
     | None -> ());
     let c name labels = Sim.Metrics.incr (Sim.Metrics.counter t.metrics ~labels name) in
     match ev with
@@ -191,13 +198,24 @@ let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
   let topo = Netstate.topology ns in
   let n = Net.Topology.num_nodes topo in
   let m = Net.Topology.num_links topo in
+  (* BCP sends reports, activations, rejoins and closures both ways along
+     a channel, so every link needs a reverse link. *)
+  for l = 0 to m - 1 do
+    let { Net.Topology.src; dst; _ } = Net.Topology.link_unsafe topo l in
+    let back r = (Net.Topology.link_unsafe topo r).Net.Topology.dst = src in
+    if not (Array.exists back (Net.Topology.out_array topo dst)) then
+      invalid_arg
+        (Printf.sprintf
+           "Simnet.create: link %d (%d->%d) has no reverse link %d->%d; BCP \
+            control messages travel both ways along a channel"
+           l src dst dst src)
+  done;
   let t =
     {
       engine = Sim.Engine.create ();
       topo;
       ns;
       cfg = config;
-      trace = Sim.Trace.create ();
       daemons =
         Array.init n (fun node ->
             { node; chans = Hashtbl.create 64; views = Hashtbl.create 8 });
@@ -216,18 +234,17 @@ let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
       telemetry;
       monitor;
       metrics = Sim.Metrics.create ();
+      events = [||];
+      nevents = 0;
       phases_observed = false;
     }
   in
-  if telemetry then begin
-    Sim.Trace.set_events t.trace true;
-    (* With write-back enabled, soft-state teardown unregisters backups
-       through the shared mux engine; route those updates into this run's
-       event stream.  (Skipped otherwise: read-only parallel sweeps share
-       one netstate across domains and must not mutate it.) *)
-    if config.Protocol.reconfigure_netstate then
-      Mux.set_event_sink (Netstate.mux ns) (Some (emit t))
-  end;
+  (* With write-back enabled, soft-state teardown unregisters backups
+     through the shared mux engine; route those updates into this run's
+     event stream.  (Skipped otherwise: read-only parallel sweeps share
+     one netstate across domains and must not mutate it.) *)
+  if telemetry && config.Protocol.reconfigure_netstate then
+    Mux.set_event_sink (Netstate.mux ns) (Some (emit t));
   List.iter
     (fun conn ->
       let bw = Dconn.bandwidth conn in
@@ -329,12 +346,10 @@ and hb_check_tick t l =
      match Detector.check t.monitors.(l) ~now:(now t) with
      | `Confirmed ->
        t.hb_confirms <- t.hb_confirms + 1;
-       tracef t "hb-confirm" "node %d: link %d declared failed (heartbeats)" dst l;
        emit t
          (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Confirm });
        detect t dst (Net.Component.Link l)
      | `Suspected ->
-       tracef t "hb-suspect" "node %d: link %d suspected" dst l;
        emit t
          (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Suspect })
      | `Fine -> ());
@@ -349,7 +364,6 @@ and sender_drop t l =
     if t.node_alive.(src) then begin
       t.sender_reported.(l) <- true;
       t.hb_confirms <- t.hb_confirms + 1;
-      tracef t "hb-confirm" "node %d: link %d declared failed (no acks)" src l;
       emit t
         (Sim.Event.Detector { node = src; link = l; signal = Sim.Event.Confirm });
       detect t src (Net.Component.Link l)
@@ -361,8 +375,6 @@ and hb_beat t ~via =
     match Detector.beat t.monitors.(via) ~now:(now t) with
     | `Recovered ->
       t.hb_recoveries <- t.hb_recoveries + 1;
-      tracef t "hb-recover" "link %d heartbeats resumed (repair or false positive)"
-        via;
       let dst = (Net.Topology.link t.topo via).Net.Topology.dst in
       emit t
         (Sim.Event.Detector { node = dst; link = via; signal = Sim.Event.Clear })
@@ -373,7 +385,11 @@ and hb_beat t ~via =
 and rcc_send t ~from_node ~to_node c =
   wire_transports t;
   match Net.Topology.find_link t.topo ~src:from_node ~dst:to_node with
-  | None -> tracef t "drop" "no link %d->%d for %a" from_node to_node Rcc.Control.pp c
+  | None ->
+    (* Unreachable on topologies accepted by [create]. *)
+    invalid_arg
+      (Format.asprintf "Simnet: no link %d->%d to carry %a" from_node to_node
+         Rcc.Control.pp c)
   | Some l -> Rcc.Transport.send t.rcc.(l) c
 
 and be_send t ~from_node ~to_node msg =
@@ -447,7 +463,6 @@ and rejoin_expired t node e =
     emit t
       (Sim.Event.Rejoin_timer { node; channel = e.cid; op = Sim.Event.Expired });
     set_chan_state t node e Protocol.N ~cause:"expire";
-    tracef t "expire" "node %d: ch %d torn down (rejoin timer)" node e.cid;
     (* The source node applies the network-wide resource reconfiguration
        exactly once per channel. *)
     if e.pos = 0 && t.cfg.Protocol.reconfigure_netstate then
@@ -509,8 +524,6 @@ and process_failure_report t node e comp ~tag =
   | Protocol.U | Protocol.N -> () (* duplicate reports are ignored *)
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:tag;
-    tracef t "state" "node %d: ch %d -> U (%s %a)" node e.cid tag
-      Net.Component.pp comp;
     start_rejoin_timer t node e;
     let hops = Net.Path.hops e.path in
     (match comp_bounds e comp with
@@ -531,10 +544,7 @@ and process_failure_report t node e comp ~tag =
     if e.pos = hops && hops > 0 then dest_learns_failure t node e
 
 and send_rejoin_request t node e =
-  if Net.Path.hops e.path > 0 then begin
-    tracef t "rejoin-req" "node %d: probing ch %d" node e.cid;
-    forward_rejoin_request t node e
-  end
+  if Net.Path.hops e.path > 0 then forward_rejoin_request t node e
 
 and forward_rejoin_request t node e =
   (* Forward toward the destination; hold and retry while the next hop is
@@ -622,7 +632,7 @@ and try_activate t node v =
   | Some _ -> () (* an activation is already in flight *)
   | None ->
     (match next_candidate t node v with
-    | None -> tracef t "give-up" "node %d: conn %d has no usable backup" node v.vconn
+    | None -> () (* no usable backup left: give up *)
     | Some (serial, e) ->
       v.attempting <- Some serial;
       (match t.cfg.Protocol.priority with
@@ -631,8 +641,6 @@ and try_activate t node v =
           Float.round (e.nu /. Netstate.lambda t.ns) |> int_of_float |> max 0
         in
         let delay = slot *. float_of_int degree in
-        tracef t "act-delay" "node %d: conn %d serial %d waits %.6fs" node
-          v.vconn serial delay;
         v.pending <-
           Some
             (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
@@ -663,8 +671,6 @@ and initiate_wave t node v serial =
         let r = ensure_record t v.vconn in
         r.resumed_at <- Some (now t);
         r.activations <- (serial, now t) :: r.activations;
-        tracef t "resume" "node %d: conn %d resumes on backup %d" node v.vconn
-          serial;
         if hops > 0 then
           rcc_send t ~from_node:node ~to_node:e.pnodes.(1)
             (Rcc.Control.Activation
@@ -703,7 +709,6 @@ and transition_to_p t node e =
   if drawn then begin
     cancel_rejoin_timer t node e;
     set_chan_state t node e Protocol.P ~cause:"activate";
-    tracef t "activate" "node %d: ch %d -> P" node e.cid;
     true
   end
   else begin
@@ -752,7 +757,6 @@ and preempt_victim t node v l =
   match Hashtbl.find_opt t.daemons.(node).chans cid with
   | None -> ()
   | Some victim_entry ->
-    tracef t "preempt" "node %d: ch %d preempted on link %d" node cid l;
     set_chan_state t node victim_entry Protocol.B ~cause:"preempt"
     (* so the report processing runs *);
     process_failure_report t node victim_entry (Net.Component.Link l)
@@ -761,7 +765,6 @@ and preempt_victim t node v l =
 and mux_failure_at t node e =
   let hops = Net.Path.hops e.path in
   let l = if e.pos < hops then e.path.Net.Path.links.(e.pos) else -1 in
-  tracef t "mux-fail" "node %d: ch %d spare exhausted on link %d" node e.cid l;
   (match e.state with
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:"mux-fail";
@@ -813,9 +816,7 @@ and handle_control t node ~via c =
               let r = ensure_record t conn in
               if r.resumed_at = None then begin
                 r.resumed_at <- Some (now t);
-                r.activations <- (serial, now t) :: r.activations;
-                tracef t "resume" "node %d: conn %d resumes on backup %d"
-                  node conn serial
+                r.activations <- (serial, now t) :: r.activations
               end
             | _ -> ()
           end;
@@ -841,7 +842,6 @@ and handle_be t node msg =
         if e.state = Protocol.U then begin
           cancel_rejoin_timer t node e;
           set_chan_state t node e Protocol.B ~cause:"rejoin";
-          tracef t "rejoin" "node %d: ch %d repaired (dst) -> B" node e.cid;
           if hops > 0 then
             ignore
               (be_send t ~from_node:node ~to_node:e.pnodes.(hops - 1)
@@ -854,7 +854,6 @@ and handle_be t node msg =
       | Protocol.U ->
         cancel_rejoin_timer t node e;
         set_chan_state t node e Protocol.B ~cause:"rejoin";
-        tracef t "rejoin" "node %d: ch %d repaired -> B" node e.cid;
         if e.pos > 0 then
           ignore
             (be_send t ~from_node:node ~to_node:e.pnodes.(e.pos - 1)
@@ -868,7 +867,6 @@ and handle_be t node msg =
       | Protocol.N ->
         (* Rejoin arrived after the timer expired: undo with a closure
            toward the destination (Fig. 6). *)
-        tracef t "closure" "node %d: ch %d rejoin too late, closing" node e.cid;
         if e.pos < hops then
           ignore
             (be_send t ~from_node:node ~to_node:e.pnodes.(e.pos + 1)
@@ -876,10 +874,7 @@ and handle_be t node msg =
       | Protocol.P | Protocol.B -> ())
     | Protocol.Closure _ ->
       cancel_rejoin_timer t node e;
-      if e.state <> Protocol.N then begin
-        set_chan_state t node e Protocol.N ~cause:"closure";
-        tracef t "closure" "node %d: ch %d closed" node e.cid
-      end;
+      set_chan_state t node e Protocol.N ~cause:"closure";
       if e.pos < hops then
         ignore
           (be_send t ~from_node:node ~to_node:e.pnodes.(e.pos + 1)
@@ -896,8 +891,6 @@ and detect t node comp =
         match e.state with
         | Protocol.P | Protocol.B ->
           if Net.Path.uses_component t.topo e.path comp then begin
-            tracef t "detect" "node %d: ch %d lost %a" node e.cid
-              Net.Component.pp comp;
             if e.serial = 0 then (
               match record_for t e.conn with
               | Some r when r.detected_at = None -> r.detected_at <- Some (now t)
@@ -928,7 +921,6 @@ let do_fail_link t l =
   if not t.link_failed.(l) then begin
     t.link_failed.(l) <- true;
     refresh_link_transport t l;
-    tracef t "fail" "link %d down" l;
     emit t (Sim.Event.Fault { component = Sim.Event.Link l; up = false });
     mark_affected_conns t (Net.Component.Link l);
     let lk = Net.Topology.link t.topo l in
@@ -947,7 +939,6 @@ let do_fail_node t v =
   wire_transports t;
   if t.node_alive.(v) then begin
     t.node_alive.(v) <- false;
-    tracef t "fail" "node %d down" v;
     emit t (Sim.Event.Fault { component = Sim.Event.Node v; up = false });
     let incident = Net.Topology.out_links t.topo v @ Net.Topology.in_links t.topo v in
     List.iter (fun l -> refresh_link_transport t l) incident;
@@ -980,7 +971,6 @@ let repair_link t ~at l =
          if t.link_failed.(l) then begin
            t.link_failed.(l) <- false;
            refresh_link_transport t l;
-           tracef t "repair" "link %d up" l;
            emit t (Sim.Event.Fault { component = Sim.Event.Link l; up = true })
          end))
 
@@ -990,7 +980,6 @@ let repair_node t ~at v =
          wire_transports t;
          if not t.node_alive.(v) then begin
            t.node_alive.(v) <- true;
-           tracef t "repair" "node %d up" v;
            emit t (Sim.Event.Fault { component = Sim.Event.Node v; up = true });
            List.iter
              (fun l -> refresh_link_transport t l)

@@ -26,27 +26,36 @@ val create :
     it (see {!Protocol.config}).
 
     [telemetry] (default [false]) turns on the typed observability
-    plane: every channel-state transition, RCC message, detector signal,
-    activation, rejoin-timer update, multiplexing update and fault is
-    recorded as a {!Sim.Event.t} in the trace and counted in the
-    {!metrics} registry, and {!finalize} adds the per-recovery phase
-    breakdown (detect/report/activate/switch timers).  When off, every
-    emission site reduces to a single boolean test, so simulation
-    behaviour and all existing outputs are bit-for-bit unchanged.
+    plane, the simulator's only protocol trace: every channel-state
+    transition, RCC message, detector signal, activation, rejoin-timer
+    update, multiplexing update and fault is appended as a
+    {!Sim.Event.t} to {!events} and counted in the {!metrics} registry,
+    and {!finalize} adds the per-recovery phase breakdown
+    (detect/report/activate/switch timers).  When off, every emission
+    site reduces to a single boolean test and nothing is recorded, so
+    simulation behaviour and all existing outputs are bit-for-bit
+    unchanged.
 
     [monitor] attaches a {!Sim.Monitor.t} invariant checker to the same
     stream (implies [~telemetry:true]): every emitted event is fed to it
     as it happens, and {!finalize} runs its end-of-stream checks.  In
     [~fail_fast] mode the monitor's {!Sim.Monitor.Violation} exception
-    propagates out of whichever simulation step broke the invariant. *)
+    propagates out of whichever simulation step broke the invariant.
+
+    @raise Invalid_argument naming the first link that has no reverse
+    link: BCP sends reports, activations, rejoins and closures in both
+    directions along a channel. *)
 
 val engine : t -> Sim.Engine.t
 val netstate : t -> Netstate.t
 val config : t -> Protocol.config
-val trace : t -> Sim.Trace.t
 
 val metrics : t -> Sim.Metrics.t
 (** The run's metric registry (empty unless [~telemetry:true]). *)
+
+val events : t -> (float * Sim.Event.t) list
+(** The typed event stream as (simulated time, event), in emission order
+    — hence chronological.  Empty unless [~telemetry:true]. *)
 
 val telemetry_enabled : t -> bool
 

@@ -114,7 +114,7 @@ let run_impl ~telemetry ~seed ~scenario_count ~horizon ~detector ~levels ns =
           (Bcp.Simnet.records sim);
         let tele =
           if telemetry then
-            Some (Bcp.Simnet.metrics sim, Sim.Trace.events (Bcp.Simnet.trace sim))
+            Some (Bcp.Simnet.metrics sim, Bcp.Simnet.events sim)
           else None
         in
         ( !obs_affected,

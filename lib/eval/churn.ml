@@ -199,7 +199,7 @@ let run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector ~windows
       Sim.Metrics.merge_into ~into:m (Bcp.Simnet.metrics sim);
       List.iter
         (fun (t, ev) -> tagged := (cell, at +. t, ev) :: !tagged)
-        (Sim.Trace.events (Bcp.Simnet.trace sim))
+        (Bcp.Simnet.events sim)
     | None -> ());
     List.iter
       (fun old_id ->

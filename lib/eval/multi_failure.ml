@@ -132,7 +132,7 @@ let sweep_telemetry ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
         ( !affected,
           !recovered,
           Bcp.Simnet.metrics sim,
-          Sim.Trace.events (Bcp.Simnet.trace sim) )
+          Bcp.Simnet.events sim )
       in
       let affected = ref 0 and recovered = ref 0 in
       List.iteri

@@ -122,7 +122,7 @@ let measure_impl ~telemetry ~config ~seed ~scenario_count ~node_failures ns =
     in
     let tele =
       if telemetry then
-        Some (Bcp.Simnet.metrics sim, Sim.Trace.events (Bcp.Simnet.trace sim))
+        Some (Bcp.Simnet.metrics sim, Bcp.Simnet.events sim)
       else None
     in
     (Bcp.Simnet.rcc_messages_sent sim, events, tele)

@@ -186,7 +186,7 @@ let run_one ~telemetry ~seed ~strategy ~max_faults ~horizon ~config ~context
       let events =
         List.map
           (fun (time, ev) -> (exec_idx, time, ev))
-          (Sim.Trace.events (Bcp.Simnet.trace sim))
+          (Bcp.Simnet.events sim)
       in
       let kind = v0.Sim.Monitor.kind in
       (* Minimize against the same oracle a bare [bcp_sim audit] replay
@@ -239,7 +239,7 @@ let run_one ~telemetry ~seed ~strategy ~max_faults ~horizon ~config ~context
       ( Some (Bcp.Simnet.metrics sim),
         List.map
           (fun (time, ev) -> (exec_idx, time, ev))
-          (Sim.Trace.events (Bcp.Simnet.trace sim)) )
+          (Bcp.Simnet.events sim) )
   in
   {
     rr_coverage = Sim.Monitor.coverage monitor;

@@ -1,12 +1,13 @@
 (** Typed protocol telemetry events.
 
-    The flat string entries of {!Trace} are good enough for eyeballing a
-    run, but attributing recovery delay to protocol phases, or watching
-    spare-bandwidth and multiplexing state evolve, needs structure.  This
-    is the shared event vocabulary emitted (when enabled) by the BCP
-    daemons, the RCC transports and the multiplexing engine, and consumed
-    by the exporters (JSONL event logs, Chrome [trace_event] files) and
-    the metrics registry.
+    The simulator's one protocol trace: attributing recovery delay to
+    protocol phases, or watching spare-bandwidth and multiplexing state
+    evolve, needs structure, so every recorded action is one of these
+    values.  This is the shared event vocabulary emitted (when enabled)
+    by the BCP daemons, the RCC transports and the multiplexing engine,
+    and consumed by the exporters (JSONL event logs, Chrome
+    [trace_event] files), the invariant monitor and the metrics
+    registry.  {!pp} prints a stream for eyeballing a run.
 
     Events carry plain integers so the vocabulary can live below every
     protocol layer; the string codecs ([*_to_string] / [*_of_string]) are

@@ -1,4 +1,5 @@
-(* Tests for the simulation substrate: PRNG, heap, engine, stats, trace. *)
+(* Tests for the simulation substrate: PRNG, heap, engine, stats.  The
+   typed event stream lives in [Bcp.Simnet]; test_simnet covers it. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -270,117 +271,6 @@ let prop_welford_matches_naive =
       Float.abs (Sim.Stats.Running.mean r -. naive)
       < 1e-6 *. (1.0 +. Float.abs naive))
 
-(* ---------- Trace ---------- *)
-
-let test_trace_roundtrip () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~time:1.0 ~tag:"a" "one";
-  Sim.Trace.recordf t ~time:2.0 ~tag:"b" "two %d" 2;
-  Alcotest.(check int) "count" 2 (Sim.Trace.count t);
-  let entries = Sim.Trace.entries t in
-  Alcotest.(check (list string)) "tags" [ "a"; "b" ]
-    (List.map (fun e -> e.Sim.Trace.tag) entries);
-  Alcotest.(check int) "find_all" 1 (List.length (Sim.Trace.find_all t ~tag:"b"))
-
-let test_trace_ring_overflow () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Sim.Trace.record t ~time:(float_of_int i) ~tag:"x" (string_of_int i)
-  done;
-  let entries = Sim.Trace.entries t in
-  Alcotest.(check int) "keeps capacity" 4 (List.length entries);
-  Alcotest.(check string) "oldest dropped" "7" (List.hd entries).Sim.Trace.detail;
-  Alcotest.(check int) "total counts all" 10 (Sim.Trace.count t)
-
-let test_trace_tag_index () =
-  (* find_all must agree with a linear scan over the live entries (same
-     entries, same oldest-first order), including across ring eviction
-     and after clear. *)
-  let t = Sim.Trace.create ~capacity:8 () in
-  let tags = [| "alpha"; "beta"; "gamma" |] in
-  for i = 0 to 29 do
-    Sim.Trace.record t ~time:(float_of_int i) ~tag:tags.(i mod 3)
-      (string_of_int i)
-  done;
-  Array.iter
-    (fun tag ->
-      let scanned =
-        List.filter (fun e -> e.Sim.Trace.tag = tag) (Sim.Trace.entries t)
-      in
-      Alcotest.(check (list string))
-        ("indexed = scanned for " ^ tag)
-        (List.map (fun e -> e.Sim.Trace.detail) scanned)
-        (List.map
-           (fun e -> e.Sim.Trace.detail)
-           (Sim.Trace.find_all t ~tag)))
-    tags;
-  Alcotest.(check int) "absent tag" 0
-    (List.length (Sim.Trace.find_all t ~tag:"delta"));
-  Sim.Trace.clear t;
-  Alcotest.(check int) "index cleared" 0
-    (List.length (Sim.Trace.find_all t ~tag:"alpha"));
-  Sim.Trace.record t ~time:0.0 ~tag:"alpha" "fresh";
-  Alcotest.(check int) "index live after clear" 1
-    (List.length (Sim.Trace.find_all t ~tag:"alpha"))
-
-let test_trace_clear () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~time:0.0 ~tag:"x" "y";
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Sim.Trace.entries t))
-
-let test_trace_create_rejects_nonpositive () =
-  Alcotest.check_raises "zero"
-    (Invalid_argument "Trace.create: capacity must be positive (got 0)")
-    (fun () -> ignore (Sim.Trace.create ~capacity:0 ()));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Trace.create: capacity must be positive (got -3)")
-    (fun () -> ignore (Sim.Trace.create ~capacity:(-3) ()))
-
-let ev_a = Sim.Event.Fault { component = Sim.Event.Link 3; up = false }
-
-let ev_b =
-  Sim.Event.Chan_transition
-    { node = 1; channel = 64; from_ = Sim.Event.P; to_ = Sim.Event.U; cause = "detect" }
-
-let test_trace_events_disabled_noop () =
-  let t = Sim.Trace.create () in
-  Alcotest.(check bool) "off by default" false (Sim.Trace.events_enabled t);
-  Sim.Trace.record_event t ~time:1.0 ev_a;
-  Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.event_count t);
-  Alcotest.(check bool) "empty" true (Sim.Trace.events t = [])
-
-let test_trace_events_capture () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.set_events t true;
-  Sim.Trace.record_event t ~time:1.0 ev_a;
-  Sim.Trace.record_event t ~time:2.0 ev_b;
-  Alcotest.(check int) "two events" 2 (Sim.Trace.event_count t);
-  (match Sim.Trace.events t with
-  | [ (t1, e1); (t2, e2) ] ->
-    check_float "first time" 1.0 t1;
-    check_float "second time" 2.0 t2;
-    Alcotest.(check bool) "order kept" true (e1 = ev_a && e2 = ev_b)
-  | _ -> Alcotest.fail "expected two events in order");
-  Sim.Trace.clear t;
-  Alcotest.(check int) "clear drops events" 0 (Sim.Trace.event_count t);
-  Alcotest.(check bool) "flag survives clear" true (Sim.Trace.events_enabled t)
-
-let test_trace_events_growth () =
-  (* Push past the initial buffer capacity to exercise doubling. *)
-  let t = Sim.Trace.create () in
-  Sim.Trace.set_events t true;
-  for i = 1 to 1000 do
-    Sim.Trace.record_event t ~time:(float_of_int i)
-      (Sim.Event.Rcc { link = i; op = Sim.Event.Send; seq = i; bytes = 64 })
-  done;
-  Alcotest.(check int) "all kept" 1000 (Sim.Trace.event_count t);
-  match List.rev (Sim.Trace.events t) with
-  | (tl, Sim.Event.Rcc { link; _ }) :: _ ->
-    check_float "last time" 1000.0 tl;
-    Alcotest.(check int) "last link" 1000 link
-  | _ -> Alcotest.fail "expected Rcc event last"
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -434,17 +324,4 @@ let () =
           Alcotest.test_case "ratio" `Quick test_ratio;
         ] );
       qsuite "stats-props" [ prop_welford_matches_naive ];
-      ( "trace",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "ring overflow" `Quick test_trace_ring_overflow;
-          Alcotest.test_case "tag index" `Quick test_trace_tag_index;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
-          Alcotest.test_case "create rejects capacity <= 0" `Quick
-            test_trace_create_rejects_nonpositive;
-          Alcotest.test_case "events disabled no-op" `Quick
-            test_trace_events_disabled_noop;
-          Alcotest.test_case "events capture" `Quick test_trace_events_capture;
-          Alcotest.test_case "events growth" `Quick test_trace_events_growth;
-        ] );
     ]

@@ -129,7 +129,7 @@ let scenario_trace ?schedule () =
   Eval.Telemetry.events_to_jsonl
     (List.map
        (fun (t, ev) -> (0, t, ev))
-       (Sim.Trace.events (Bcp.Simnet.trace sim)))
+       (Bcp.Simnet.events sim))
 
 let test_disabled_schedule_byte_identical () =
   let bare = scenario_trace () in
