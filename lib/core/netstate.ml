@@ -180,6 +180,8 @@ let backups_using t comp =
   in
   List.filter_map (fun bid -> Ids.Slab.get t.by_bid bid) bids
 
+let conn_of_primary t cid = Ids.Slab.get t.by_primary cid
+
 let conns_with_primary_on t comp =
   let ids = Rtchan.Rnmp.channels_disabled_by t.rnmp [ comp ] in
   List.filter_map (fun cid -> Ids.Slab.get t.by_primary cid) ids

@@ -96,6 +96,10 @@ val spare_pool : t -> float array
 val backups_using : t -> Net.Component.t -> (Dconn.t * Dconn.backup) list
 (** Backups whose path crosses the component. *)
 
+val conn_of_primary : t -> Rtchan.Channel.id -> Dconn.t option
+(** The connection registered (by {!add_dconn}) with the RNMP channel
+    [cid] as its primary; a lookup in a flat table, without allocating. *)
+
 val conns_with_primary_on : t -> Net.Component.t -> Dconn.t list
 (** Connections whose primary path crosses the component. *)
 

@@ -6,7 +6,13 @@
     runs dry the remaining activations on that link suffer *multiplexing
     failures*.  Connections whose end nodes fail are excluded, exactly as
     in Section 7.2.  The engine does not mutate the network state, so many
-    failure scenarios can be evaluated on one established network. *)
+    failure scenarios can be evaluated on one established network.
+
+    Each call works on domain-local scratch arrays sized to the largest
+    topology and connection id seen on the domain (connection ids are
+    expected dense, as request indices are), so calls on different
+    domains (a {!Sim.Pool} sweep) run independently.  A failed component
+    may be listed more than once; it counts once. *)
 
 (** Order in which failed connections attempt activation. *)
 type order =
@@ -41,8 +47,16 @@ val r_fast_of_degree : result -> int -> float
 
 val simulate :
   ?order:order -> Netstate.t -> failed:Net.Component.t list -> result
+(** Runs inside the [Sim.Prof] span ["recovery.simulate"] and adds
+    [affected] to the counter ["recovery.affected"].
+    @raise Invalid_argument
+      if a failed component is not in the topology, or an affected
+      connection has a negative id. *)
 
 val affected_conns :
   Netstate.t -> failed:Net.Component.t list -> Dconn.t list * int
-(** Connections whose primary is disabled (excluded end-node failures
-    removed), and the number excluded. *)
+(** Connections whose primary is disabled, in ascending [Dconn.id] order,
+    with the end-node failures removed; and the number removed.
+    @raise Invalid_argument
+      if a failed component is not in the topology, or an affected
+      connection has a negative id. *)

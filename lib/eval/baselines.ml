@@ -54,10 +54,8 @@ let reroute ns ~failed conn =
    the established network is untouched between scenarios. *)
 let scenario_reactive ns ~failed =
   let res = Bcp.Netstate.resources ns in
-  let considered, _excluded = Bcp.Recovery.affected_conns ns ~failed in
-  let ordered =
-    List.sort (fun a b -> Int.compare a.Bcp.Dconn.id b.Bcp.Dconn.id) considered
-  in
+  (* Ascending connection id, as [affected_conns] promises. *)
+  let ordered, _excluded = Bcp.Recovery.affected_conns ns ~failed in
   (* The broken channels' reservations are reclaimed before re-routing
      (soft-state teardown happens first in any reactive scheme). *)
   List.iter

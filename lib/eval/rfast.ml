@@ -32,59 +32,45 @@ let scenarios_of ?(seed = 7) ns model =
   | Double_node (Some n) ->
     Failures.Scenario.sampled_double_nodes (Sim.Prng.create seed) topo ~count:n
 
-let merge_degrees a b =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (d, (x, y)) -> Hashtbl.replace tbl d (x, y)) a;
-  List.iter
-    (fun (d, (x, y)) ->
-      let x0, y0 = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl d) in
-      Hashtbl.replace tbl d (x0 + x, y0 + y))
-    b;
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun d v acc -> (d, v) :: acc) tbl [])
-
 let measure ?seed ?(order = Bcp.Recovery.By_id) ns model =
   let scenarios = scenarios_of ?seed ns model in
   let simulate sc =
     Bcp.Recovery.simulate ~order ns ~failed:sc.Failures.Scenario.components
   in
-  (* The recovery engine only reads the established netstate (it copies
-     the spare pools), so scenarios run on the domain pool; folding the
-     per-scenario results in index order is byte-identical to the
-     sequential sweep.  [Shuffled] threads one generator across
-     scenarios and must stay sequential. *)
+  (* The recovery engine only reads the established netstate (activations
+     draw on domain-local copies of the spare pools), so scenarios run on
+     the domain pool; folding the per-scenario results in index order is
+     byte-identical to the sequential sweep.  [Shuffled] threads one
+     generator across scenarios and must stay sequential. *)
   let results =
     match order with
     | Bcp.Recovery.Shuffled _ -> List.map simulate scenarios
     | Bcp.Recovery.By_id | Bcp.Recovery.By_priority ->
       Sim.Pool.map simulate scenarios
   in
-  let acc =
-    List.fold_left
-      (fun acc r ->
-        {
-          acc with
-          affected = acc.affected + r.Bcp.Recovery.affected;
-          recovered = acc.recovered + r.Bcp.Recovery.recovered;
-          mux_failures = acc.mux_failures + r.Bcp.Recovery.mux_failures;
-          no_backup = acc.no_backup + r.Bcp.Recovery.no_healthy_backup;
-          excluded = acc.excluded + r.Bcp.Recovery.excluded;
-          per_degree = merge_degrees acc.per_degree r.Bcp.Recovery.per_degree;
-        })
-      {
-        label = model_label model;
-        scenarios = List.length scenarios;
-        affected = 0;
-        recovered = 0;
-        mux_failures = 0;
-        no_backup = 0;
-        excluded = 0;
-        per_degree = [];
-      }
-      results
-  in
-  acc
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let degrees = Hashtbl.create 8 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (d, (a, v)) ->
+          let a0, v0 = Option.value ~default:(0, 0) (Hashtbl.find_opt degrees d) in
+          Hashtbl.replace degrees d (a0 + a, v0 + v))
+        r.Bcp.Recovery.per_degree)
+    results;
+  {
+    label = model_label model;
+    scenarios = List.length scenarios;
+    affected = sum (fun r -> r.Bcp.Recovery.affected);
+    recovered = sum (fun r -> r.Bcp.Recovery.recovered);
+    mux_failures = sum (fun r -> r.Bcp.Recovery.mux_failures);
+    no_backup = sum (fun r -> r.Bcp.Recovery.no_healthy_backup);
+    excluded = sum (fun r -> r.Bcp.Recovery.excluded);
+    per_degree =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun d v acc -> (d, v) :: acc) degrees []);
+  }
 
 let standard_models ?double_sample () =
   [ Single_link; Single_node; Double_node double_sample ]

@@ -212,6 +212,61 @@ let prop_torus_distance =
       | None -> false
       | Some p -> Net.Path.hops p = expected)
 
+(* A random simple path on a [size]x[size] torus: a self-avoiding walk of
+   up to [size * size - 1] hops, stopping at a random length or when every
+   neighbour is visited (zero hops is the empty path at one node). *)
+let random_torus_path rng topo =
+  let n = Net.Topology.num_nodes topo in
+  let src = Sim.Prng.int rng n in
+  let visited = Array.make n false in
+  visited.(src) <- true;
+  let rec walk at acc budget =
+    let fresh =
+      Array.to_list (Net.Topology.out_array topo at)
+      |> List.filter (fun l -> not visited.((Net.Topology.link topo l).Net.Topology.dst))
+    in
+    if budget = 0 || fresh = [] then (at, List.rev acc)
+    else begin
+      let l = List.nth fresh (Sim.Prng.int rng (List.length fresh)) in
+      let next = (Net.Topology.link topo l).Net.Topology.dst in
+      visited.(next) <- true;
+      walk next (l :: acc) (budget - 1)
+    end
+  in
+  let dst, links = walk src [] (Sim.Prng.int rng n) in
+  Net.Path.make topo ~src ~dst ~links
+
+(* Property: the set-free walks agree with the set definitions, for every
+   component of the topology: [uses_component] with membership in
+   [components], and [intermediate_nodes] with the path's nodes minus its
+   endpoints, in path order. *)
+let prop_path_walks_match_sets =
+  QCheck.Test.make ~name:"uses_component/intermediate_nodes = set definition"
+    ~count:200
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, big) ->
+      let size = if big then 8 else 4 in
+      let t = Net.Builders.torus ~rows:size ~cols:size ~capacity:1.0 in
+      let p = random_torus_path (Sim.Prng.create seed) t in
+      let comps = Net.Path.components t p in
+      let every =
+        List.init (Net.Topology.num_nodes t) c_node
+        @ List.init (Net.Topology.num_links t) (fun l -> Net.Component.Link l)
+      in
+      let inner = Net.Path.intermediate_nodes t p in
+      List.for_all
+        (fun c -> Net.Path.uses_component t p c = Net.Component.Set.mem c comps)
+        every
+      && inner
+         = List.filteri (fun i _ -> i > 0 && i < Net.Path.hops p) (Net.Path.nodes t p)
+      && Net.Component.Set.equal
+           (Net.Component.Set.of_list (List.map c_node inner))
+           (Net.Component.Set.filter
+              (function
+                | Net.Component.Node v -> v <> p.Net.Path.src && v <> p.Net.Path.dst
+                | Net.Component.Link _ -> false)
+              comps))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -250,5 +305,5 @@ let () =
           Alcotest.test_case "sharing/disjoint" `Quick test_path_sharing;
           Alcotest.test_case "of_links" `Quick test_path_of_links;
         ] );
-      qsuite "path-props" [ prop_torus_distance ];
+      qsuite "path-props" [ prop_torus_distance; prop_path_walks_match_sets ];
     ]

@@ -220,6 +220,29 @@ let test_profiling_identity () =
   Alcotest.(check string) "profiled run byte-identical to unprofiled" baseline
     profiled
 
+(* The static recovery engine is one span per [simulate] call plus an
+   affected-connection counter, and arming them changes no result. *)
+let test_recovery_span () =
+  let est =
+    Eval.Setup.build ~seed:7 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
+  in
+  let measure () = Eval.Rfast.measure est.Eval.Setup.ns Eval.Rfast.Single_node in
+  Sim.Prof.reset ();
+  Sim.Prof.disable ();
+  let baseline = measure () in
+  Sim.Prof.reset ();
+  Sim.Prof.enable ();
+  let profiled = measure () in
+  Sim.Prof.disable ();
+  let r = Sim.Prof.report () in
+  Alcotest.(check int) "one span per scenario" profiled.Eval.Rfast.scenarios
+    (get_span "recovery.simulate" r).Sim.Prof.count;
+  Alcotest.(check (option int)) "affected counter"
+    (Some profiled.Eval.Rfast.affected)
+    (List.assoc_opt "recovery.affected" r.Sim.Prof.counters);
+  Alcotest.(check bool) "profiled measurement equals unprofiled" true
+    (baseline = profiled)
+
 (* ---------- exports ---------- *)
 
 let test_chrome_export_shape () =
@@ -305,6 +328,8 @@ let () =
         [
           Alcotest.test_case "profiling does not perturb results" `Quick
             test_profiling_identity;
+          Alcotest.test_case "recovery span and counter" `Quick
+            test_recovery_span;
         ] );
       ( "exports",
         [

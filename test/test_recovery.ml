@@ -266,6 +266,233 @@ let prop_mux1_single_failure_guarantee =
       done;
       !all_ok)
 
+(* ---------- reference oracle ---------- *)
+
+(* Reference engine on component sets: a [Net.Component.Set] per backup
+   path, a table to drop connections met twice, [List.mem] for the
+   end-node exclusion, and a copied spare-pool array.  The flat engine
+   must return exactly its result. *)
+let reference_simulate ?(order = Bcp.Recovery.By_id) ns ~failed =
+  let open Bcp in
+  let topo = Netstate.topology ns in
+  let failed_set =
+    List.fold_left (fun s c -> Net.Component.Set.add c s) Net.Component.Set.empty
+      failed
+  in
+  let dead_nodes =
+    List.filter_map
+      (function Net.Component.Node v -> Some v | Net.Component.Link _ -> None)
+      failed
+  in
+  let seen = Hashtbl.create 64 in
+  let distinct =
+    List.filter
+      (fun conn ->
+        if Hashtbl.mem seen conn.Dconn.id then false
+        else begin
+          Hashtbl.add seen conn.Dconn.id ();
+          true
+        end)
+      (List.concat_map (fun c -> Netstate.conns_with_primary_on ns c) failed)
+  in
+  let excluded, considered =
+    List.partition
+      (fun conn ->
+        List.mem conn.Dconn.src dead_nodes || List.mem conn.Dconn.dst dead_nodes)
+      distinct
+  in
+  let by_id = List.sort (fun a b -> Int.compare a.Dconn.id b.Dconn.id) considered in
+  let min_nu conn =
+    List.fold_left (fun m b -> Float.min m b.Dconn.nu) infinity conn.Dconn.backups
+  in
+  let ordered =
+    match order with
+    | Recovery.By_id -> by_id
+    | Recovery.Shuffled rng -> Sim.Prng.shuffle_list rng by_id
+    | Recovery.By_priority ->
+      List.sort
+        (fun a b ->
+          match Float.compare (min_nu a) (min_nu b) with
+          | 0 -> Int.compare a.Dconn.id b.Dconn.id
+          | c -> c)
+        considered
+  in
+  let pool = Netstate.spare_pool ns in
+  let path_healthy path =
+    Net.Component.Set.is_empty
+      (Net.Component.Set.inter (Net.Path.components topo path) failed_set)
+  in
+  let try_activate conn =
+    let bw = Dconn.bandwidth conn in
+    let healthy =
+      List.filter
+        (fun b -> b.Dconn.state = Dconn.Standby && path_healthy b.Dconn.path)
+        conn.Dconn.backups
+    in
+    let rec attempt = function
+      | [] -> if healthy = [] then Recovery.No_healthy_backup else Recovery.Mux_failure
+      | b :: rest ->
+        let links = Net.Path.links b.Dconn.path in
+        if List.for_all (fun l -> pool.(l) +. 1e-9 >= bw) links then begin
+          List.iter (fun l -> pool.(l) <- pool.(l) -. bw) links;
+          Recovery.Recovered b.Dconn.serial
+        end
+        else attempt rest
+    in
+    attempt healthy
+  in
+  let outcomes = List.map (fun conn -> (conn, try_activate conn)) ordered in
+  let count p = List.length (List.filter (fun (_, o) -> p o) outcomes) in
+  let degrees = Hashtbl.create 8 in
+  List.iter
+    (fun (conn, o) ->
+      let d = Dconn.mux_degree conn ~lambda:(Netstate.lambda ns) in
+      let a, r = Option.value ~default:(0, 0) (Hashtbl.find_opt degrees d) in
+      let r = match o with Recovery.Recovered _ -> r + 1 | _ -> r in
+      Hashtbl.replace degrees d (a + 1, r))
+    outcomes;
+  {
+    Recovery.affected = List.length ordered;
+    excluded = List.length excluded;
+    recovered = count (function Recovery.Recovered _ -> true | _ -> false);
+    mux_failures = count (fun o -> o = Recovery.Mux_failure);
+    no_healthy_backup = count (fun o -> o = Recovery.No_healthy_backup);
+    outcomes = List.map (fun (c, o) -> (c.Dconn.id, o)) outcomes;
+    per_degree =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun d v acc -> (d, v) :: acc) degrees []);
+  }
+
+let pp_result ppf (r : Bcp.Recovery.result) =
+  Format.fprintf ppf "aff %d exc %d rec %d muxf %d nob %d outcomes [%s] deg [%s]"
+    r.affected r.excluded r.recovered r.mux_failures r.no_healthy_backup
+    (String.concat ";"
+       (List.map
+          (fun (id, o) ->
+            Printf.sprintf "%d:%s" id
+              (match o with
+              | Bcp.Recovery.Recovered s -> "R" ^ string_of_int s
+              | Mux_failure -> "M"
+              | No_healthy_backup -> "N"))
+          r.outcomes))
+    (String.concat ";"
+       (List.map (fun (d, (a, v)) -> Printf.sprintf "%d:%d/%d" d a v) r.per_degree))
+
+let result_t = Alcotest.testable pp_result ( = )
+
+(* A seeded torus ([size]x[size]) with random connections of mixed degree
+   and 1-2 backups, tight enough that spare pools run dry; then some
+   backups are moved out of [Standby] so the engine's filter matters. *)
+let random_state ~seed ~size =
+  let topo = Net.Builders.torus ~rows:size ~cols:size ~capacity:12.0 in
+  let ns = Bcp.Netstate.create ~lambda topo () in
+  let rng = Sim.Prng.create seed in
+  let reqs =
+    List.filteri
+      (fun i _ -> i < 4 * size * size)
+      (Workload.Generator.shuffled rng (Workload.Generator.all_pairs topo))
+  in
+  List.iteri
+    (fun i (r : Workload.Generator.request) ->
+      ignore
+        (Bcp.Establish.establish ns ~conn_id:i
+           (request
+              ~backups:(1 + Sim.Prng.int rng 2)
+              ~mux_degree:(List.nth [ 1; 3; 6 ] (Sim.Prng.int rng 3))
+              r.Workload.Generator.src r.Workload.Generator.dst)))
+    reqs;
+  List.iter
+    (fun c ->
+      List.iter
+        (fun b ->
+          match Sim.Prng.int rng 8 with
+          | 0 -> b.Bcp.Dconn.state <- Bcp.Dconn.Activated
+          | 1 -> b.Bcp.Dconn.state <- Bcp.Dconn.Broken
+          | _ -> ())
+        c.Bcp.Dconn.backups)
+    (Bcp.Netstate.dconns ns);
+  (topo, ns, rng)
+
+(* 1-4 failed components, nodes and links mixed, each possibly a repeat
+   of an earlier one. *)
+let random_failures rng topo =
+  let pick () =
+    if Sim.Prng.bool rng then
+      Net.Component.Node (Sim.Prng.int rng (Net.Topology.num_nodes topo))
+    else Net.Component.Link (Sim.Prng.int rng (Net.Topology.num_links topo))
+  in
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      let c =
+        match acc with
+        | _ :: _ when Sim.Prng.int rng 3 = 0 ->
+          List.nth acc (Sim.Prng.int rng (List.length acc))
+        | _ -> pick ()
+      in
+      go (c :: acc) (k - 1)
+  in
+  go [] (1 + Sim.Prng.int rng 4)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"flat engine = component-set reference" ~count:40
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, big) ->
+      let topo, ns, rng = random_state ~seed ~size:(if big then 8 else 4) in
+      List.for_all
+        (fun _ ->
+          let failed = random_failures rng topo in
+          let shuffle_seed = Sim.Prng.int rng 1_000_000 in
+          List.for_all
+            (fun order ->
+              let got = Bcp.Recovery.simulate ~order:(order ()) ns ~failed in
+              let want = reference_simulate ~order:(order ()) ns ~failed in
+              if got <> want then
+                QCheck.Test.fail_reportf "engine@.  %a@.reference@.  %a" pp_result
+                  got pp_result want;
+              true)
+            [
+              (fun () -> Bcp.Recovery.By_id);
+              (fun () -> Bcp.Recovery.By_priority);
+              (fun () -> Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed));
+            ])
+        (List.init 12 Fun.id))
+
+(* The engine's scratch lives on the domain and is shared by every call
+   there.  Alternate calls on a small and a large netstate (4x4, 8x8,
+   4x4, ...): the 8x8 calls grow the marks and connection slots, the 4x4
+   calls then run on the larger arrays.  Every result must equal the
+   reference, on one fresh domain and inside a 2-domain pool. *)
+let test_scratch_reuse_across_netstates () =
+  let scenarios (topo, ns, rng) =
+    List.init 6 (fun _ -> (ns, random_failures rng topo))
+  in
+  let small = scenarios (random_state ~seed:3 ~size:4) in
+  let large = scenarios (random_state ~seed:4 ~size:8) in
+  let tasks =
+    Array.of_list (List.concat (List.map2 (fun a b -> [ a; b ]) small large) @ small)
+  in
+  let expected = Array.map (fun (ns, failed) -> reference_simulate ns ~failed) tasks in
+  let run (ns, failed) = Bcp.Recovery.simulate ns ~failed in
+  let serial = Domain.join (Domain.spawn (fun () -> Array.map run tasks)) in
+  let pooled = Sim.Pool.with_pool ~jobs:2 (fun p -> Sim.Pool.map_array p run tasks) in
+  Array.iteri
+    (fun i want ->
+      Alcotest.check result_t (Printf.sprintf "one domain, call %d" i) want serial.(i);
+      Alcotest.check result_t (Printf.sprintf "pool, call %d" i) want pooled.(i))
+    expected
+
+let test_rejects_bad_input () =
+  let ns = torus_ns () in
+  let _ = establish_exn ns (-1) (request 0 5) in
+  Alcotest.check_raises "unknown node"
+    (Invalid_argument "Recovery: failed component node:16 is outside the topology")
+    (fun () -> ignore (Bcp.Recovery.simulate ns ~failed:[ Net.Component.Node 16 ]));
+  Alcotest.check_raises "negative connection id"
+    (Invalid_argument "Recovery: negative connection id -1") (fun () ->
+      ignore (Bcp.Recovery.affected_conns ns ~failed:[ Net.Component.Node 0 ]))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -293,5 +520,11 @@ let () =
           Alcotest.test_case "affected dedup" `Quick test_affected_conns_dedup;
           Alcotest.test_case "brute-force pool" `Quick test_brute_force_pool;
         ] );
-      qsuite "props" [ prop_mux1_single_failure_guarantee ];
+      ( "engine",
+        [
+          Alcotest.test_case "scratch reuse across netstates" `Quick
+            test_scratch_reuse_across_netstates;
+          Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
+        ] );
+      qsuite "props" [ prop_mux1_single_failure_guarantee; prop_matches_reference ];
     ]
