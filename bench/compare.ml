@@ -232,10 +232,7 @@ let () =
           ("failures", Eval.Json.List (List.rev !findings));
         ]
     in
-    let oc = open_out path in
-    output_string oc (Eval.Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc);
+    Eval.Json.write_file path doc);
   if !errors > 0 then begin
     Printf.printf "\n%d failure(s) vs baseline %s\n" !errors baseline_path;
     exit 1

@@ -5,9 +5,9 @@
    layout — this is the reproduction harness proper.
 
    Part 2 runs the same experiments on reduced (4x4) instances — a
-   minutes-to-seconds-scale suite used by CI's bench-smoke job.  With
-   [--micro] it additionally runs Bechamel micro-benchmarks on the core
-   data-structure kernels.
+   minutes-to-seconds-scale suite used by CI's bench-smoke job.  Both
+   parts are suites of the experiment registry ({!Eval.Experiments}),
+   which [bcp_sim] reads too.
 
    Flags:
      --part1-only / --part2-only   select a part (default: both)
@@ -15,183 +15,47 @@
      --json FILE                   machine-readable results (bcp-bench/v1)
      --omit-timings                drop wall-clock fields from the JSON
                                    (used to commit stable baselines)
-     --micro                       run the Bechamel micro-benchmarks
      --seed N                      PRNG seed (default 42) *)
 
 let seed = ref 42
-let double_sample = 300 (* of 2016 double-node pairs; keeps the run minutes-scale *)
 
 (* Every table produced during the run, with its wall-clock cost, in
    emission order. *)
 let collected : (Eval.Report.t * float) list ref = ref []
 
-(* Bechamel kernel timings (name, ns/run), when [--micro] ran. *)
+(* Wall-clock timings of the scaling, routing and churn tiers
+   (name, ns/op). *)
 let kernel_timings : (string * float) list ref = ref []
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* Time the construction of a report, print it, and record it for the
-   JSON sink.  The timing never influences the table contents, so the
+(* Time the construction of some reports, print them, and record them
+   for the JSON sink; reports built together share their wall clock
+   evenly.  The timing never influences the table contents, so the
    rendered output stays byte-identical across job counts. *)
 let table mk =
   let t0 = Unix.gettimeofday () in
-  let report = mk () in
-  let dt = Unix.gettimeofday () -. t0 in
-  collected := (report, dt) :: !collected;
-  Eval.Report.print report
+  let reports = mk () in
+  let dt = (Unix.gettimeofday () -. t0) /. float_of_int (List.length reports) in
+  List.iter
+    (fun report ->
+      collected := (report, dt) :: !collected;
+      Eval.Report.print report)
+    reports
 
-let part1 () =
-  let seed = !seed in
-  hr "FIGURE 9 (a): spare bandwidth vs load, single backup, 8x8 torus";
-  table (fun () ->
-      Eval.Spare_bw.report Eval.Setup.Torus8 ~backups:1
-        (Eval.Spare_bw.run ~seed Eval.Setup.Torus8 ~backups:1));
-  hr "FIGURE 9 (b): spare bandwidth vs load, double backups, 8x8 torus";
-  table (fun () ->
-      Eval.Spare_bw.report Eval.Setup.Torus8 ~backups:2
-        (Eval.Spare_bw.run ~seed Eval.Setup.Torus8 ~backups:2));
-  hr "FIGURE 9 (c): spare bandwidth vs load, single backup, 8x8 mesh";
-  table (fun () ->
-      Eval.Spare_bw.report Eval.Setup.Mesh8 ~backups:1
-        (Eval.Spare_bw.run ~seed Eval.Setup.Mesh8 ~backups:1));
-
-  hr "TABLE 1 (a): R_fast, same mux degrees, single backup, 8x8 torus";
-  table (fun () ->
-      Eval.Rfast.table_same_degree ~seed ~double_sample Eval.Setup.Torus8
-        ~backups:1);
-  hr "TABLE 1 (b): R_fast, same mux degrees, double backups, 8x8 torus";
-  table (fun () ->
-      Eval.Rfast.table_same_degree ~seed ~double_sample Eval.Setup.Torus8
-        ~backups:2);
-  hr "TABLE 1 (c): R_fast, same mux degrees, single backup, 8x8 mesh";
-  table (fun () ->
-      Eval.Rfast.table_same_degree ~seed ~double_sample Eval.Setup.Mesh8
-        ~backups:1);
-
-  hr "TABLE 2 (a): R_fast, mixed mux degrees, single backup, 8x8 torus";
-  table (fun () ->
-      Eval.Rfast.table_mixed_degrees ~seed ~double_sample Eval.Setup.Torus8
-        ~backups:1);
-  hr "TABLE 2 (b): R_fast, mixed mux degrees, double backups, 8x8 torus";
-  table (fun () ->
-      Eval.Rfast.table_mixed_degrees ~seed ~double_sample Eval.Setup.Torus8
-        ~backups:2);
-  hr "TABLE 2 (c): R_fast, mixed mux degrees, single backup, 8x8 mesh";
-  table (fun () ->
-      Eval.Rfast.table_mixed_degrees ~seed ~double_sample Eval.Setup.Mesh8
-        ~backups:1);
-
-  hr "TABLE 3 (a): R_fast, brute-force multiplexing, 8x8 torus";
-  table (fun () ->
-      Eval.Rfast.table_brute_force ~seed ~double_sample Eval.Setup.Torus8);
-  hr "TABLE 3 (b): R_fast, brute-force multiplexing, 8x8 mesh";
-  table (fun () ->
-      Eval.Rfast.table_brute_force ~seed ~double_sample Eval.Setup.Mesh8);
-
-  hr "SECTION 5.3: recovery delay vs bound (event-driven BCP, 8x8 torus)";
-  let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 Eval.Setup.Torus8 in
-  Printf.printf "(established %d, rejected %d, load %.2f%%, spare %.2f%%)\n"
-    est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.load
-    est.Eval.Setup.spare;
-  table (fun () ->
-      Eval.Recovery_delay.report
-        [ Eval.Recovery_delay.measure ~seed ~scenario_count:12 est.Eval.Setup.ns ]);
-
-  hr "SECTION 4.2: channel-switching schemes 1/2/3";
-  table (fun () ->
-      Eval.Recovery_delay.compare_schemes ~seed ~scenario_count:6
-        est.Eval.Setup.ns);
-  table (fun () -> Eval.Ablations.scheme_coverage ~seed est.Eval.Setup.ns);
-
-  hr "SECTION 4.3: priority-based activation";
-  table (fun () ->
-      Eval.Ablations.priority_activation ~seed ~double_sample Eval.Setup.Torus8);
-
-  hr "SECTION 7.1/7.4: hot-spot (inhomogeneous) traffic";
-  table (fun () -> Eval.Ablations.inhomogeneous ~seed Eval.Setup.Torus8);
-
-  hr "FIGURE 8: message loss during failure recovery (data plane)";
-  table (fun () ->
-      Eval.Message_loss.report (Eval.Message_loss.run ~seed Eval.Setup.Torus8));
-
-  hr "EXTENSION: spare-aware backup routing [HAN97b]";
-  table (fun () -> Eval.Ablations.backup_routing ~seed Eval.Setup.Torus8);
-
-  hr "EXTENSION: R_fast under k simultaneous link failures";
-  table (fun () -> Eval.Multi_failure.sweep ~seed Eval.Setup.Torus8);
-
-  hr "SECTION 8: BCP vs reactive re-establishment [BAN93]";
-  table (fun () ->
-      Eval.Baselines.report Eval.Setup.Torus8
-        (Eval.Baselines.compare ~seed ~double_sample Eval.Setup.Torus8));
-
-  hr "SECTION 7.1: sensitivity to traffic and topology + S_max audit";
-  table (fun () -> Eval.Sensitivity.traffic ~seed Eval.Setup.Torus8);
-  table (fun () -> Eval.Sensitivity.topology ~seed ());
-  table (fun () ->
-      Eval.Sensitivity.s_max_audit est.Eval.Setup.ns Rcc.Transport.default_params);
-
-  hr "FIGURE 3: Markov reliability models vs combinatorial P_r";
-  table (fun () ->
-      Eval.Reliability_cmp.report
-        (Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] ()))
-
-(* ------------- Part 2: reduced 4x4 suite (CI bench-smoke) ------------- *)
-
-let part2 () =
-  let seed = !seed in
-  hr "4x4 FIGURE 9: spare bandwidth vs load, single backup, 4x4 torus";
-  table (fun () ->
-      Eval.Spare_bw.report Eval.Setup.Torus4 ~backups:1
-        (Eval.Spare_bw.run ~seed Eval.Setup.Torus4 ~backups:1));
-
-  hr "4x4 TABLE 1: R_fast, same mux degrees, single backup, 4x4 torus";
-  table (fun () ->
-      Eval.Rfast.table_same_degree ~seed Eval.Setup.Torus4 ~backups:1);
-
-  hr "4x4 TABLE 2: R_fast, mixed mux degrees, single backup, 4x4 mesh";
-  table (fun () ->
-      Eval.Rfast.table_mixed_degrees ~seed Eval.Setup.Mesh4 ~backups:1);
-
-  hr "4x4 TABLE 3: R_fast, brute-force multiplexing, 4x4 torus";
-  table (fun () -> Eval.Rfast.table_brute_force ~seed Eval.Setup.Torus4);
-
-  hr "4x4 SECTION 5.3: recovery delay vs bound (event-driven BCP)";
-  let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 Eval.Setup.Torus4 in
-  table (fun () ->
-      Eval.Recovery_delay.report
-        [ Eval.Recovery_delay.measure ~seed ~scenario_count:8 est.Eval.Setup.ns ]);
-
-  hr "4x4 SECTION 4.2: channel-switching scheme coverage";
-  table (fun () -> Eval.Ablations.scheme_coverage ~seed est.Eval.Setup.ns);
-
-  hr "4x4 SECTION 7.1/7.4: hot-spot (inhomogeneous) traffic";
-  table (fun () -> Eval.Ablations.inhomogeneous ~seed Eval.Setup.Torus4);
-
-  hr "4x4 FIGURE 8: message loss during failure recovery";
-  table (fun () ->
-      Eval.Message_loss.report (Eval.Message_loss.run ~seed Eval.Setup.Torus4));
-
-  hr "4x4 EXTENSION: R_fast under k simultaneous link failures";
-  table (fun () -> Eval.Multi_failure.sweep ~seed Eval.Setup.Torus4);
-
-  hr "4x4 CHAOS: impairment sweep, oracle detector";
-  table (fun () ->
-      Eval.Chaos.sweep ~seed ~scenario_count:4 ~detector:`Oracle
-        Eval.Setup.Torus4);
-
-  hr "FIGURE 3: Markov reliability models vs combinatorial P_r";
-  table (fun () ->
-      Eval.Reliability_cmp.report
-        (Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] ()))
+let suite steps =
+  List.iter
+    (fun ((heading, _, _) as step) ->
+      hr heading;
+      table (fun () -> Eval.Experiments.run_step ~seed:!seed step))
+    steps
 
 (* ------------- Scaling suite: 4x4 -> 8x8 -> 16x16 at fixed load ------- *)
 
 (* Wall-clock ns/op of a thunk, growing the repetition count until the
-   sample is long enough to trust.  Used for the per-tier mux kernels —
-   Bechamel stays the harness for the --micro suite, but here one
-   gettimeofday loop per (tier, kernel) keeps the scaling run cheap. *)
+   sample is long enough to trust.  Used for the per-tier mux kernels:
+   one gettimeofday loop per (tier, kernel) keeps the scaling run cheap. *)
 let time_ns_per_op f =
   (* Timing loops are synthetic: their repetition counts adapt to machine
      speed, so letting them hit [Sim.Prof] counters (mux.register from
@@ -351,7 +215,7 @@ let routing_micro runs =
                 (if identical then "identical" else "DIVERGED");
               ])
         rows;
-      r);
+      [ r ]);
   List.iter
     (fun (label, _, _, _, odt, rdt) ->
       Printf.printf
@@ -432,7 +296,7 @@ let scaling () =
                 string_of_int !entries;
               ])
         runs;
-      r);
+      [ r ]);
   (* Wall-clock lines are prefixed "timing:" so CI's serial/parallel
      byte-identity diff can filter them; the values also land in the JSON
      "timings" section (dropped with --omit-timings). *)
@@ -524,19 +388,23 @@ let churn () =
       ~bandwidth:4.0 ~fault_every:25.0 ~net:Eval.Setup.Torus4
   in
   table (fun () ->
-      Eval.Churn.summary_report
-        ~title:
-          "Churn: 4x4 torus offered-load ladder (6k events/cell, 4 Mbps, \
-           faults every 25 s)"
-        ladder);
+      [
+        Eval.Churn.summary_report
+          ~title:
+            "Churn: 4x4 torus offered-load ladder (6k events/cell, 4 Mbps, \
+             faults every 25 s)"
+          ladder;
+      ]);
   List.iter
     (fun (o : Eval.Churn.outcome) ->
       table (fun () ->
-          Eval.Churn.windows_report
-            ~title:
-              (Printf.sprintf "Churn windows: 4x4 ladder (offered %.1f E/node)"
-                 o.Eval.Churn.offered)
-            o))
+          [
+            Eval.Churn.windows_report
+              ~title:
+                (Printf.sprintf "Churn windows: 4x4 ladder (offered %.1f E/node)"
+                   o.Eval.Churn.offered)
+              o;
+          ]))
     ladder;
   hr "CHURN: 16x16 torus steady-state cell (1 Mbps conns, faults every 25 s)";
   let big =
@@ -544,212 +412,22 @@ let churn () =
       ~fault_every:25.0 ~net:Eval.Setup.Torus16
   in
   table (fun () ->
-      Eval.Churn.summary_report
-        ~title:"Churn: 16x16 torus steady-state cell (4k events, 4 E/node)"
-        big);
+      [
+        Eval.Churn.summary_report
+          ~title:"Churn: 16x16 torus steady-state cell (4k events, 4 E/node)"
+          big;
+      ]);
   List.iter
     (fun (o : Eval.Churn.outcome) ->
       table (fun () ->
-          Eval.Churn.windows_report
-            ~title:
-              (Printf.sprintf "Churn windows: 16x16 cell (offered %.1f E/node)"
-                 o.Eval.Churn.offered)
-            o))
+          [
+            Eval.Churn.windows_report
+              ~title:
+                (Printf.sprintf "Churn windows: 16x16 cell (offered %.1f E/node)"
+                   o.Eval.Churn.offered)
+              o;
+          ]))
     big
-
-(* ------------- Bechamel micro-benchmarks (--micro) ------------- *)
-
-open Bechamel
-open Toolkit
-
-let small_net () = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:50.0
-
-let establish_small backups mux_degree =
-  let topo = small_net () in
-  let ns = Bcp.Netstate.create topo () in
-  let rng = Sim.Prng.create !seed in
-  let requests =
-    Workload.Generator.shuffled rng
-      (Workload.Generator.all_pairs ~backups ~mux_degree topo)
-  in
-  ignore (Eval.Setup.establish_all ns requests);
-  ns
-
-let bench_fig9_kernel () =
-  Test.make ~name:"fig9-kernel (4x4 torus establishment, mux=3)"
-    (Staged.stage (fun () -> ignore (establish_small 1 3)))
-
-let bench_table1_kernel () =
-  let ns = establish_small 1 3 in
-  let topo = Bcp.Netstate.topology ns in
-  let scenarios = Failures.Scenario.all_single_links topo in
-  Test.make ~name:"table1-kernel (single-link R_fast sweep)"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (sc : Failures.Scenario.t) ->
-             ignore
-               (Bcp.Recovery.simulate ns ~failed:sc.Failures.Scenario.components))
-           scenarios))
-
-let bench_table2_kernel () =
-  let topo = small_net () in
-  let ns = Bcp.Netstate.create topo () in
-  let rng = Sim.Prng.create !seed in
-  let requests =
-    Workload.Generator.with_mux_mix ~degrees:[ 1; 3; 5; 6 ]
-      (Workload.Generator.shuffled rng (Workload.Generator.all_pairs topo))
-  in
-  ignore (Eval.Setup.establish_all ns requests);
-  let scenarios = Failures.Scenario.all_single_nodes topo in
-  Test.make ~name:"table2-kernel (mixed-degree single-node R_fast)"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (sc : Failures.Scenario.t) ->
-             ignore
-               (Bcp.Recovery.simulate ns ~failed:sc.Failures.Scenario.components))
-           scenarios))
-
-let bench_table3_kernel () =
-  let topo = small_net () in
-  let ns = Bcp.Netstate.create ~policy:(Bcp.Netstate.Brute_force 5.0) topo () in
-  let rng = Sim.Prng.create !seed in
-  ignore
-    (Eval.Setup.establish_all ns
-       (Workload.Generator.shuffled rng (Workload.Generator.all_pairs topo)));
-  let scenarios = Failures.Scenario.all_single_links topo in
-  Test.make ~name:"table3-kernel (brute-force R_fast sweep)"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (sc : Failures.Scenario.t) ->
-             ignore
-               (Bcp.Recovery.simulate ns ~failed:sc.Failures.Scenario.components))
-           scenarios))
-
-let bench_delay_kernel () =
-  let ns = establish_small 1 3 in
-  Test.make ~name:"delay-kernel (event-driven recovery, 1 link)"
-    (Staged.stage (fun () ->
-         let sim = Bcp.Simnet.create ns in
-         Bcp.Simnet.fail_link sim ~at:0.01 0;
-         Bcp.Simnet.run ~until:0.1 sim;
-         Bcp.Simnet.finalize sim))
-
-let bench_markov_kernel () =
-  Test.make ~name:"markov-kernel (Fig 3 R(t) + MTTF)"
-    (Staged.stage (fun () ->
-         ignore (Eval.Reliability_cmp.compute ~hops:[ 1; 4; 10 ] ())))
-
-(* Synthetic backup population for the mux kernels: 9-component primaries
-   drawn from a 400-slot encoded universe, so candidates overlap a
-   realistic fraction of the table. *)
-let mux_kernel_info i =
-  let comps =
-    Array.init 9 (fun k -> (2 * ((i + (k * 7)) mod 200)) + (k land 1))
-  in
-  let comps =
-    Array.of_list (List.sort_uniq Int.compare (Array.to_list comps))
-  in
-  {
-    Bcp.Mux.backup = i;
-    conn = i;
-    serial = 1;
-    nu = 3e-4;
-    bw = 1.0;
-    primary_components = comps;
-  }
-
-let loaded_mux () =
-  let mux = Bcp.Mux.create (small_net ()) ~lambda:1e-4 in
-  for i = 0 to 199 do
-    Bcp.Mux.register mux ~link:0 (mux_kernel_info i)
-  done;
-  mux
-
-let bench_mux_required_with () =
-  let mux = loaded_mux () in
-  let candidate = mux_kernel_info 9999 in
-  Test.make ~name:"mux required_with (200 backups on link)"
-    (Staged.stage (fun () ->
-         ignore (Bcp.Mux.required_with mux ~link:0 candidate)))
-
-let bench_mux_register () =
-  let mux = loaded_mux () in
-  let candidate = mux_kernel_info 9999 in
-  Test.make ~name:"mux register+unregister (200 backups on link)"
-    (Staged.stage (fun () ->
-         Bcp.Mux.register mux ~link:0 candidate;
-         Bcp.Mux.unregister mux ~link:0 ~backup:9999))
-
-(* 33 components ≈ a 16-hop primary, as input to the reference
-   sorted-array merge. *)
-let shared_kernel_arrays () =
-  let mk off =
-    Array.init 33 (fun k -> off + (2 * k * 3))
-  in
-  (mk 0, mk 24)
-
-(* 32 counts per run: the single-op cost (~50-300 ns) sits below the
-   harness measurement floor, so batching is what makes it visible in the
-   ns/run estimates. *)
-let bench_shared_count_sorted () =
-  let a, b = shared_kernel_arrays () in
-  Test.make ~name:"shared_count sorted-array merge (33 comps, x32)"
-    (Staged.stage (fun () ->
-         for _ = 1 to 32 do
-           ignore (Bcp.Mux.shared_count a b)
-         done))
-
-let bench_dijkstra () =
-  let topo = Net.Builders.torus ~rows:8 ~cols:8 ~capacity:200.0 in
-  Test.make ~name:"shortest-path (8x8 torus, corner to corner)"
-    (Staged.stage (fun () ->
-         ignore (Routing.Shortest.shortest_path topo ~src:0 ~dst:63)))
-
-let bench_engine () =
-  Test.make ~name:"event engine (10k timers)"
-    (Staged.stage (fun () ->
-         let e = Sim.Engine.create () in
-         for i = 1 to 10_000 do
-           ignore (Sim.Engine.schedule e ~at:(float_of_int i) (fun () -> ()))
-         done;
-         Sim.Engine.run e))
-
-let benchmarks () =
-  [
-    bench_fig9_kernel ();
-    bench_table1_kernel ();
-    bench_table2_kernel ();
-    bench_table3_kernel ();
-    bench_delay_kernel ();
-    bench_markov_kernel ();
-    bench_mux_required_with ();
-    bench_mux_register ();
-    bench_shared_count_sorted ();
-    bench_dijkstra ();
-    bench_engine ();
-  ]
-
-let run_bechamel () =
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            kernel_timings := (name, est) :: !kernel_timings;
-            Printf.printf "  %-55s %14.1f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-55s (no estimate)\n%!" name)
-        results)
-    (benchmarks ())
 
 (* ------------- JSON output (schema bcp-bench/v1) ------------- *)
 
@@ -796,10 +474,7 @@ let write_json ~path ~suite ~omit_timings ~total_wall ~profile =
     | Some report ->
       timed @ [ ("profile", Eval.Telemetry.prof_to_json report) ]
   in
-  let oc = open_out path in
-  output_string oc (Eval.Json.to_string ~indent:2 (Eval.Json.Obj timed));
-  output_char oc '\n';
-  close_out oc
+  Eval.Json.write_file path (Eval.Json.Obj timed)
 
 (* ------------- CLI ------------- *)
 
@@ -809,12 +484,11 @@ let () =
   let scaling_only = ref false in
   let churn_only = ref false in
   let routing_only = ref false in
-  let micro = ref false in
   let json_path = ref None in
   let omit_timings = ref false in
   let profile = ref false in
   let jobs = ref 1 in
-  let usage = "bench [--part1-only|--part2-only|--scaling-only|--churn-only|--routing-only] [--jobs N] [--json FILE] [--omit-timings] [--profile] [--micro] [--seed N]" in
+  let usage = "bench [--part1-only|--part2-only|--scaling-only|--churn-only|--routing-only] [--jobs N] [--json FILE] [--omit-timings] [--profile] [--seed N]" in
   let spec =
     [
       ("--part1-only", Arg.Set part1_only, " Run only the full-scale 8x8 suite");
@@ -840,7 +514,6 @@ let () =
         Arg.Set profile,
         " Profile the engine (Sim.Prof): hot-span table on stderr, \
          bcp-prof/v1 section in the JSON" );
-      ("--micro", Arg.Set micro, " Run the Bechamel micro-benchmarks");
       ("--seed", Arg.Set_int seed, "N PRNG seed (default 42)");
     ]
   in
@@ -873,9 +546,9 @@ let () =
   if !profile then Sim.Prof.enable ();
   let t0 = Unix.gettimeofday () in
   if not (!part2_only || !scaling_only || !churn_only || !routing_only) then
-    part1 ();
+    suite Eval.Experiments.full;
   if not (!part1_only || !scaling_only || !churn_only || !routing_only) then
-    part2 ();
+    suite Eval.Experiments.reduced;
   (* The scaling and churn tiers run in the full suite and under their
      --*-only flags; the part-1/part-2 selections stay exactly the
      historical suites.  The routing micro tier rides inside the scaling
@@ -886,10 +559,6 @@ let () =
   if !routing_only then routing_only_suite ();
   if !churn_only || not (!part1_only || !part2_only || !scaling_only || !routing_only)
   then churn ();
-  if !micro then begin
-    hr "MICRO-BENCHMARKS (Bechamel, reduced-scale kernels)";
-    run_bechamel ()
-  end;
   let total_wall = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal wall time: %.1f s\n" total_wall;
   (* The hot-span table goes to stderr so profiling leaves stdout (and

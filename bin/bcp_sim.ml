@@ -2,58 +2,7 @@
    plus the ablations documented in DESIGN.md. *)
 
 open Cmdliner
-
-(* [Eval.Setup.names] is the single source of truth for [--network]
-   spellings; "torus"/"mesh" stay as aliases for the paper's 8x8
-   networks.  An unknown name is a usage error (exit code 2) whose
-   message lists every accepted spelling. *)
-let network_conv =
-  let accepted =
-    "torus|mesh|" ^ String.concat "|" (List.map fst Eval.Setup.names)
-  in
-  let parse = function
-    | "torus" -> Ok Eval.Setup.Torus8
-    | "mesh" -> Ok Eval.Setup.Mesh8
-    | s -> (
-      match Eval.Setup.of_name s with
-      | Some n -> Ok n
-      | None ->
-        Error (`Msg (Printf.sprintf "unknown network %S (%s)" s accepted)))
-  in
-  let print ppf n =
-    Format.pp_print_string ppf
-      (match n with
-      | Eval.Setup.Torus8 -> "torus"
-      | Eval.Setup.Mesh8 -> "mesh"
-      | n ->
-        fst (List.find (fun (_, n') -> n' = n) Eval.Setup.names))
-  in
-  Arg.conv (parse, print)
-
-let network_arg =
-  Arg.(
-    value
-    & opt network_conv Eval.Setup.Torus8
-    & info [ "network"; "n" ] ~docv:"NET"
-        ~doc:
-          "Network: torus or mesh (8x8), torus4 or mesh4 (reduced 4x4), \
-           torus16 or mesh16 (large-network scaling tier), torus64 or \
-           mesh64 (4096-node flat-state benchmark ladder).")
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-
-let backups_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "backups"; "b" ] ~docv:"N" ~doc:"Backup channels per connection.")
-
-let double_sample_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "double-sample" ] ~docv:"N"
-        ~doc:"Sample N double-node scenarios instead of all pairs.")
+open Eval.Experiments
 
 let csv_arg =
   Arg.(
@@ -106,11 +55,7 @@ let prof_finish = function
   | Some path ->
     let report = Sim.Prof.report () in
     Sim.Prof.print_top Format.err_formatter;
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2 (Eval.Telemetry.prof_to_json report));
-    output_char oc '\n';
-    close_out oc;
+    Eval.Json.write_file path (Eval.Telemetry.prof_to_json report);
     Printf.printf "wrote profile to %s\n" path
 
 (* Output context shared by every subcommand: rendering mode, optional
@@ -142,21 +87,16 @@ let write_json ctx =
   match ctx.json with
   | None -> ()
   | Some path ->
-    let doc =
-      Eval.Json.Obj
-        ([
-           ("schema", Eval.Json.String "bcp-report/v1");
-           ("jobs", Eval.Json.Int (Sim.Pool.current_jobs ()));
-           ( "reports",
-             Eval.Json.List
-               (List.rev_map Eval.Report.to_json !(ctx.collected)) );
-         ]
-        @ List.rev !(ctx.extra))
-    in
-    let oc = open_out path in
-    output_string oc (Eval.Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc
+    Eval.Json.write_file path
+      (Eval.Json.Obj
+         ([
+            ("schema", Eval.Json.String "bcp-report/v1");
+            ("jobs", Eval.Json.Int (Sim.Pool.current_jobs ()));
+            ( "reports",
+              Eval.Json.List
+                (List.rev_map Eval.Report.to_json !(ctx.collected)) );
+          ]
+         @ List.rev !(ctx.extra)))
 
 (* Run a subcommand body, then flush the JSON sink and the profile
    report if requested. *)
@@ -164,76 +104,6 @@ let finishing ctx body =
   body ();
   write_json ctx;
   prof_finish ctx.prof_out
-
-let scenario_count_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "scenarios" ] ~docv:"N" ~doc:"Failure scenarios to simulate.")
-
-let run_fig9 ctx network backups seed =
-  let series = Eval.Spare_bw.run ~seed network ~backups in
-  emit ctx (Eval.Spare_bw.report network ~backups series)
-
-let fig9_cmd =
-  let doc = "Figure 9: spare bandwidth vs network load." in
-  Cmd.v
-    (Cmd.info "fig9" ~doc)
-    Term.(
-      const (fun ctx n b s -> finishing ctx (fun () -> run_fig9 ctx n b s))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg)
-
-let run_table1 ctx network backups seed double_sample =
-  emit ctx (Eval.Rfast.table_same_degree ~seed ?double_sample network ~backups)
-
-let table1_cmd =
-  let doc = "Table 1: R_fast with uniform multiplexing degrees." in
-  Cmd.v
-    (Cmd.info "table1" ~doc)
-    Term.(
-      const (fun ctx n b s d ->
-          finishing ctx (fun () -> run_table1 ctx n b s d))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ double_sample_arg)
-
-let run_table2 ctx network backups seed double_sample =
-  emit ctx (Eval.Rfast.table_mixed_degrees ~seed ?double_sample network ~backups)
-
-let table2_cmd =
-  let doc = "Table 2: R_fast with mixed multiplexing degrees." in
-  Cmd.v
-    (Cmd.info "table2" ~doc)
-    Term.(
-      const (fun ctx n b s d ->
-          finishing ctx (fun () -> run_table2 ctx n b s d))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ double_sample_arg)
-
-let run_table3 ctx network seed double_sample =
-  emit ctx (Eval.Rfast.table_brute_force ~seed ?double_sample network)
-
-let table3_cmd =
-  let doc = "Table 3: R_fast with brute-force multiplexing." in
-  Cmd.v
-    (Cmd.info "table3" ~doc)
-    Term.(
-      const (fun ctx n s d -> finishing ctx (fun () -> run_table3 ctx n s d))
-      $ ctx_term $ network_arg $ seed_arg $ double_sample_arg)
-
-let run_delay ctx network backups seed scenarios =
-  let est = Eval.Setup.build ~seed ~backups ~mux_degree:3 network in
-  Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
-    est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
-  let stats =
-    Eval.Recovery_delay.measure ~seed ~scenario_count:scenarios est.Eval.Setup.ns
-  in
-  emit ctx (Eval.Recovery_delay.report [ stats ])
-
-let delay_cmd =
-  let doc = "Section 5.3: measured recovery delay vs the analytic bound." in
-  Cmd.v
-    (Cmd.info "delay" ~doc)
-    Term.(
-      const (fun ctx n b s sc ->
-          finishing ctx (fun () -> run_delay ctx n b s sc))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ scenario_count_arg)
 
 let metrics_arg =
   Arg.(
@@ -258,19 +128,13 @@ let trace_out_arg =
    When the profiler is on, Chrome traces also carry the engine spans
    recorded so far, merged onto the protocol timeline. *)
 let write_trace path events =
-  let oc = open_out path in
-  if Filename.check_suffix path ".jsonl" then
-    output_string oc (Eval.Telemetry.events_to_jsonl events)
-  else begin
-    let prof =
-      if Sim.Prof.enabled () then Some (Sim.Prof.report ()) else None
-    in
-    output_string oc
-      (Eval.Json.to_string ~indent:2
-         (Eval.Telemetry.events_to_chrome ?prof events));
-    output_char oc '\n'
-  end;
-  close_out oc;
+  (if Filename.check_suffix path ".jsonl" then
+     Eval.Json.write_text path (Eval.Telemetry.events_to_jsonl events)
+   else
+     let prof =
+       if Sim.Prof.enabled () then Some (Sim.Prof.report ()) else None
+     in
+     Eval.Json.write_file path (Eval.Telemetry.events_to_chrome ?prof events));
   Printf.printf "wrote %d events to %s\n" (List.length events) path
 
 (* Emit the phase-breakdown and metrics tables (and their JSON sections)
@@ -285,265 +149,104 @@ let emit_metrics ctx metrics =
     :: ("phases", Eval.Recovery_delay.phases_to_json phases)
     :: !(ctx.extra)
 
-let run_recovery ctx network backups seed scenarios use_metrics trace_out =
-  let telemetry = use_metrics || trace_out <> None in
-  if not telemetry then run_delay ctx network backups seed scenarios
-  else begin
-    (* Establishment-time multiplexing updates land at time 0.0 under the
-       pseudo-scenario -1; the sweep's events follow per scenario. *)
-    let setup_events = ref [] in
-    let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-    let est = Eval.Setup.build ~seed ~backups ~mux_degree:3 ~mux_sink network in
-    Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
-      est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
-    let stats, tele =
-      Eval.Recovery_delay.measure_telemetry ~seed ~scenario_count:scenarios
-        est.Eval.Setup.ns
-    in
-    emit ctx (Eval.Recovery_delay.report [ stats ]);
-    if use_metrics then emit_metrics ctx tele.Eval.Recovery_delay.metrics;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ tele.Eval.Recovery_delay.events)
-  end
+(* ---------- the experiment registry as subcommands ---------- *)
 
-let recovery_cmd =
-  let doc =
-    "Recovery sweep with typed telemetry: phase breakdown \
-     (detect/report/activate/switch), metrics registry, and JSONL / Chrome \
-     trace export. Without --metrics or --trace-out this is identical to \
-     $(b,delay)."
+(* The instrumented path of recovery, multi and chaos: [sweep ~mux_sink]
+   returns the report, the merged metrics and the sweep's event stream.
+   Establishment-time multiplexing updates land at time 0.0 under the
+   pseudo-scenario -1, ahead of the sweep's events. *)
+let run_telemetry ctx ~use_metrics ~trace_out sweep =
+  let setup_events = ref [] in
+  let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
+  let report, metrics, events = sweep ~mux_sink in
+  emit ctx report;
+  if use_metrics then emit_metrics ctx metrics;
+  Option.iter
+    (fun path -> write_trace path (List.rev !setup_events @ events))
+    trace_out
+
+let recovery_sweep a ~mux_sink =
+  let est =
+    Eval.Setup.build ~seed:a.seed ~backups:a.backups ~mux_degree:3 ~mux_sink
+      a.network
   in
-  Cmd.v
-    (Cmd.info "recovery" ~doc)
-    Term.(
-      const (fun ctx n b s sc m t ->
-          finishing ctx (fun () -> run_recovery ctx n b s sc m t))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ scenario_count_arg
-      $ metrics_arg $ trace_out_arg)
-
-let run_schemes ctx network seed scenarios =
-  let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
-  emit ctx
-    (Eval.Recovery_delay.compare_schemes ~seed ~scenario_count:scenarios
-       est.Eval.Setup.ns);
-  emit ctx (Eval.Ablations.scheme_coverage ~seed est.Eval.Setup.ns)
-
-let schemes_cmd =
-  let doc = "Section 4.2: compare channel-switching Schemes 1, 2 and 3." in
-  Cmd.v
-    (Cmd.info "schemes" ~doc)
-    Term.(
-      const (fun ctx n s sc -> finishing ctx (fun () -> run_schemes ctx n s sc))
-      $ ctx_term $ network_arg $ seed_arg $ scenario_count_arg)
-
-let run_priority ctx network seed =
-  emit ctx (Eval.Ablations.priority_activation ~seed network)
-
-let priority_cmd =
-  let doc = "Section 4.3: priority-based activation under contention." in
-  Cmd.v
-    (Cmd.info "priority" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_priority ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_hotspot ctx network seed =
-  emit ctx (Eval.Ablations.inhomogeneous ~seed network)
-
-let hotspot_cmd =
-  let doc = "Section 7.1/7.4: hot-spot traffic, proposed vs brute-force." in
-  Cmd.v
-    (Cmd.info "hotspot" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_hotspot ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_routing ctx network seed =
-  emit ctx (Eval.Ablations.backup_routing ~seed network)
-
-let routing_cmd =
-  let doc = "Extension: spare-increment-minimising backup routing [HAN97b]." in
-  Cmd.v
-    (Cmd.info "routing" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_routing ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_fig8 ctx network seed =
-  emit ctx (Eval.Message_loss.report (Eval.Message_loss.run ~seed network))
-
-let fig8_cmd =
-  let doc = "Figure 8: message loss during failure recovery (data plane)." in
-  Cmd.v
-    (Cmd.info "fig8" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_fig8 ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_sensitivity ctx network seed =
-  emit ctx (Eval.Sensitivity.traffic ~seed network);
-  emit ctx (Eval.Sensitivity.topology ~seed ());
-  let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
-  emit ctx
-    (Eval.Sensitivity.s_max_audit est.Eval.Setup.ns Rcc.Transport.default_params)
-
-let sensitivity_cmd =
-  let doc = "Section 7.1: traffic/topology sensitivity + S_max audit." in
-  Cmd.v
-    (Cmd.info "sensitivity" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_sensitivity ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_baseline ctx network seed double_sample =
-  let ds = Option.value ~default:300 double_sample in
-  emit ctx
-    (Eval.Baselines.report network
-       (Eval.Baselines.compare ~seed ~double_sample:ds network))
-
-let baseline_cmd =
-  let doc = "Section 8: BCP vs reactive re-establishment [BAN93]." in
-  Cmd.v
-    (Cmd.info "baseline" ~doc)
-    Term.(
-      const (fun ctx n s d -> finishing ctx (fun () -> run_baseline ctx n s d))
-      $ ctx_term $ network_arg $ seed_arg $ double_sample_arg)
-
-let run_multi ?(use_metrics = false) ?trace_out ctx network seed =
-  if not (use_metrics || trace_out <> None) then
-    emit ctx (Eval.Multi_failure.sweep ~seed network)
-  else begin
-    let setup_events = ref [] in
-    let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-    let rep, tele, _ns =
-      Eval.Multi_failure.sweep_telemetry ~seed ~mux_sink network
-    in
-    emit ctx rep;
-    if use_metrics then emit_metrics ctx tele.Eval.Multi_failure.metrics;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ tele.Eval.Multi_failure.events)
-  end
-
-let multi_cmd =
-  let doc =
-    "Extension: R_fast under k simultaneous link failures. With --metrics \
-     or --trace-out the sweep switches to the event-driven simulator \
-     (single configuration, reduced k ladder) so burst-failure traces \
-     exist for auditing."
+  Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
+    est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
+  let stats, tele =
+    Eval.Recovery_delay.measure_telemetry ~seed:a.seed
+      ~scenario_count:a.scenarios est.Eval.Setup.ns
   in
+  ( Eval.Recovery_delay.report [ stats ],
+    tele.Eval.Recovery_delay.metrics,
+    tele.Eval.Recovery_delay.events )
+
+let multi_sweep a ~mux_sink =
+  let report, tele, _ns =
+    Eval.Multi_failure.sweep_telemetry ~seed:a.seed ~mux_sink a.network
+  in
+  (report, tele.Eval.Multi_failure.metrics, tele.Eval.Multi_failure.events)
+
+let chaos_sweep a ~mux_sink =
+  let report, tele, _ns =
+    Eval.Chaos.sweep_telemetry ~seed:a.seed ~scenario_count:a.scenarios
+      ?horizon:a.horizon ~detector:a.detector
+      ?levels:(chaos_levels ~loss:a.loss ~gray:a.gray)
+      ~mux_sink a.network
+  in
+  (report, tele.Eval.Chaos.metrics, tele.Eval.Chaos.events)
+
+(* One subcommand per registry entry.  With [telemetry], --metrics and
+   --trace-out switch the entry to its instrumented path. *)
+let experiment_cmd ?name ?doc ?telemetry e =
+  let info =
+    Cmd.info (Option.value name ~default:e.name)
+      ~doc:(Option.value doc ~default:e.doc)
+  in
+  let run ctx a = finishing ctx (fun () -> List.iter (emit ctx) (e.run a)) in
+  match telemetry with
+  | None -> Cmd.v info Term.(const run $ ctx_term $ term e)
+  | Some sweep ->
+    Cmd.v info
+      Term.(
+        const (fun ctx a use_metrics trace_out ->
+            if use_metrics || trace_out <> None then
+              finishing ctx (fun () ->
+                  run_telemetry ctx ~use_metrics ~trace_out (sweep a))
+            else run ctx a)
+        $ ctx_term $ term e $ metrics_arg $ trace_out_arg)
+
+let experiment_cmds =
+  List.concat_map
+    (fun e ->
+      match e.name with
+      | "delay" ->
+        [
+          experiment_cmd e;
+          experiment_cmd ~name:"recovery" ~telemetry:recovery_sweep
+            ~doc:
+              "Recovery sweep with typed telemetry: phase breakdown \
+               (detect/report/activate/switch), metrics registry, and JSONL \
+               / Chrome trace export. Without --metrics or --trace-out this \
+               is identical to $(b,delay)."
+            e;
+        ]
+      | "multi" -> [ experiment_cmd ~telemetry:multi_sweep e ]
+      | "chaos" -> [ experiment_cmd ~telemetry:chaos_sweep e ]
+      | _ -> [ experiment_cmd e ])
+    all
+
+let all_cmd =
+  let doc = "Run the complete evaluation (every table and figure)." in
   Cmd.v
-    (Cmd.info "multi" ~doc)
+    (Cmd.info "all" ~doc)
     Term.(
-      const (fun ctx n s m t ->
+      const (fun ctx seed double_sample ->
           finishing ctx (fun () ->
-              run_multi ~use_metrics:m ?trace_out:t ctx n s))
-      $ ctx_term $ network_arg $ seed_arg $ metrics_arg $ trace_out_arg)
-
-let detector_conv =
-  let parse = function
-    | "oracle" -> Ok `Oracle
-    | "heartbeat" -> Ok `Heartbeat
-    | s -> Error (`Msg (Printf.sprintf "unknown detector %S (oracle|heartbeat)" s))
-  in
-  let print ppf d =
-    Format.pp_print_string ppf
-      (match d with `Oracle -> "oracle" | `Heartbeat -> "heartbeat")
-  in
-  Arg.conv (parse, print)
-
-let detector_arg =
-  Arg.(
-    value
-    & opt detector_conv `Oracle
-    & info [ "detector" ] ~docv:"DET"
-        ~doc:"Failure detector: oracle or heartbeat.")
-
-let rate_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | Some _ -> Error (`Msg (Printf.sprintf "%s must be in [0, 1]" what))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
-let loss_arg =
-  Arg.(
-    value
-    & opt (some (rate_conv "loss rate")) None
-    & info [ "loss" ] ~docv:"P"
-        ~doc:"Run a single impairment level with this loss rate instead of \
-              the default ladder.")
-
-let gray_arg =
-  Arg.(
-    value
-    & opt (rate_conv "gray fraction") 0.0
-    & info [ "gray" ] ~docv:"F"
-        ~doc:"Gray-failure link fraction for the single level (with --loss).")
-
-let horizon_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0.0 && Float.is_finite v -> Ok v
-    | Some _ -> Error (`Msg "--horizon must be > 0 seconds")
-    | None -> Error (`Msg (Printf.sprintf "invalid horizon %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
-let horizon_arg =
-  Arg.(
-    value
-    & opt (some horizon_conv) None
-    & info [ "horizon" ] ~docv:"SEC" ~doc:"Simulated time past each fault.")
-
-let chaos_levels loss gray =
-  match loss with
-  | None -> None
-  | Some p ->
-    Some [ Eval.Chaos.level p ~dup:(p /. 2.0) ~jitter:5e-4 ~gray_frac:gray ]
-
-let run_chaos ?(use_metrics = false) ?trace_out ctx network seed scenarios
-    detector loss gray horizon =
-  let levels = chaos_levels loss gray in
-  if not (use_metrics || trace_out <> None) then
-    emit ctx
-      (Eval.Chaos.sweep ~seed ~scenario_count:scenarios ?horizon ~detector
-         ?levels network)
-  else begin
-    let setup_events = ref [] in
-    let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-    let rep, tele, _ns =
-      Eval.Chaos.sweep_telemetry ~seed ~scenario_count:scenarios ?horizon
-        ~detector ?levels ~mux_sink network
-    in
-    emit ctx rep;
-    if use_metrics then emit_metrics ctx tele.Eval.Chaos.metrics;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ tele.Eval.Chaos.events)
-  end
-
-let chaos_cmd =
-  let doc =
-    "Chaos sweep: R_fast, disruption time and RCC overhead vs control-plane \
-     impairment (loss/dup/jitter/gray links), with oracle or heartbeat \
-     failure detection. --metrics and --trace-out export the typed \
-     telemetry of every simulated scenario."
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~doc)
-    Term.(
-      const (fun ctx n s sc d l g h m t ->
-          finishing ctx (fun () ->
-              run_chaos ~use_metrics:m ?trace_out:t ctx n s sc d l g h))
-      $ ctx_term $ network_arg $ seed_arg $ scenario_count_arg $ detector_arg
-      $ loss_arg $ gray_arg $ horizon_arg $ metrics_arg $ trace_out_arg)
+              List.iter
+                (fun step ->
+                  List.iter (emit ctx) (run_step ~seed ?double_sample step))
+                full))
+      $ ctx_term $ seed_arg $ double_sample_arg)
 
 (* ---------- audit ---------- *)
 
@@ -649,7 +352,7 @@ let run_audit network seed scenarios detector loss gray trace_file filters
       let setup_events = ref [] in
       let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
       let levels =
-        match chaos_levels loss gray with
+        match chaos_levels ~loss ~gray with
         | None -> Some [ Eval.Chaos.level 0.0 ]
         | levels -> levels
       in
@@ -668,11 +371,7 @@ let run_audit network seed scenarios detector loss gray trace_file filters
   (match json_out with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2 (Eval.Audit.to_json ~source result));
-    output_char oc '\n';
-    close_out oc;
+    Eval.Json.write_file path (Eval.Audit.to_json ~source result);
     Printf.printf "wrote audit to %s\n" path);
   prof_finish prof_out;
   if result.Eval.Audit.total_violations > 0 then exit 1
@@ -690,7 +389,7 @@ let audit_cmd =
     Term.(
       const (fun n s sc d l g tr f j p jobs ->
           run_audit n s sc d l g tr f j p jobs)
-      $ network_arg $ seed_arg $ scenario_count_arg $ detector_arg $ loss_arg
+      $ network_arg $ seed_arg $ scenarios_arg $ detector_arg $ loss_arg
       $ gray_arg $ trace_in_arg $ filter_arg $ audit_json_arg $ prof_out_arg
       $ jobs_arg)
 
@@ -826,11 +525,7 @@ let run_swarm network seed budget wall strategy detector max_faults horizon
   (match json_out with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2 (Eval.Swarm.report_to_json report));
-    output_char oc '\n';
-    close_out oc;
+    Eval.Json.write_file path (Eval.Swarm.report_to_json report);
     Printf.printf "wrote swarm summary to %s\n" path);
   (match artifact_dir with
   | None -> ()
@@ -842,10 +537,7 @@ let run_swarm network seed budget wall strategy detector max_faults horizon
           Filename.concat dir
             (Printf.sprintf "violation-%04d.json" v.Eval.Swarm.scenario)
         in
-        let oc = open_out path in
-        output_string oc (Eval.Json.to_string ~indent:2 v.Eval.Swarm.artifact);
-        output_char oc '\n';
-        close_out oc;
+        Eval.Json.write_file path v.Eval.Swarm.artifact;
         Printf.printf "wrote artifact %s\n" path)
       report.Eval.Swarm.violations
   | Some _ -> ());
@@ -1035,13 +727,9 @@ let run_churn network seed events offered holding bandwidth backups fault_every
   (match json_out with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2
-         (Eval.Churn.report_to_json ~seed ~events ~fault_every ~horizon
-            ~detector ~network outcomes));
-    output_char oc '\n';
-    close_out oc;
+    Eval.Json.write_file path
+      (Eval.Churn.report_to_json ~seed ~events ~fault_every ~horizon ~detector
+         ~network outcomes);
     Printf.printf "wrote churn summary to %s\n" path);
   let total_events =
     List.fold_left
@@ -1092,52 +780,6 @@ let churn_cmd =
       $ windows_arg $ detector_arg $ max_blocking_arg $ metrics_arg
       $ trace_out_arg $ churn_json_arg $ prof_out_arg $ jobs_arg)
 
-let run_markov ctx () =
-  let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] () in
-  emit ctx (Eval.Reliability_cmp.report rows)
-
-let markov_cmd =
-  let doc = "Figure 3: Markov reliability models vs the combinatorial P_r." in
-  Cmd.v
-    (Cmd.info "markov" ~doc)
-    Term.(
-      const (fun ctx -> finishing ctx (fun () -> run_markov ctx ()))
-      $ ctx_term)
-
-let run_all ctx seed double_sample =
-  let ds = match double_sample with None -> Some 300 | some -> some in
-  List.iter
-    (fun network ->
-      run_fig9 ctx network 1 seed;
-      run_table1 ctx network 1 seed ds;
-      (match network with
-      | Eval.Setup.Torus8 -> run_table1 ctx network 2 seed ds
-      | _ -> ());
-      run_table2 ctx network 1 seed ds;
-      (match network with
-      | Eval.Setup.Torus8 -> run_table2 ctx network 2 seed ds
-      | _ -> ());
-      run_table3 ctx network seed ds)
-    [ Eval.Setup.Torus8; Eval.Setup.Mesh8 ];
-  run_delay ctx Eval.Setup.Torus8 1 seed 16;
-  run_schemes ctx Eval.Setup.Torus8 seed 8;
-  run_priority ctx Eval.Setup.Torus8 seed;
-  run_hotspot ctx Eval.Setup.Torus8 seed;
-  run_routing ctx Eval.Setup.Torus8 seed;
-  run_fig8 ctx Eval.Setup.Torus8 seed;
-  run_sensitivity ctx Eval.Setup.Torus8 seed;
-  run_baseline ctx Eval.Setup.Torus8 seed double_sample;
-  run_multi ctx Eval.Setup.Torus8 seed;
-  run_markov ctx ()
-
-let all_cmd =
-  let doc = "Run the complete evaluation (every table and figure)." in
-  Cmd.v
-    (Cmd.info "all" ~doc)
-    Term.(
-      const (fun ctx s d -> finishing ctx (fun () -> run_all ctx s d))
-      $ ctx_term $ seed_arg $ double_sample_arg)
-
 let () =
   let doc =
     "Reproduction of 'Fast Restoration of Real-Time Communication Service \
@@ -1149,27 +791,6 @@ let () =
   let code =
     Cmd.eval ~term_err:2
       (Cmd.group info
-          [
-            fig9_cmd;
-            table1_cmd;
-            table2_cmd;
-            table3_cmd;
-            delay_cmd;
-            recovery_cmd;
-            schemes_cmd;
-            priority_cmd;
-            hotspot_cmd;
-            routing_cmd;
-            fig8_cmd;
-            sensitivity_cmd;
-            baseline_cmd;
-            multi_cmd;
-            markov_cmd;
-            chaos_cmd;
-            audit_cmd;
-            swarm_cmd;
-            churn_cmd;
-            all_cmd;
-          ])
+         (experiment_cmds @ [ audit_cmd; swarm_cmd; churn_cmd; all_cmd ]))
   in
   exit (if code = Cmd.Exit.cli_error then 2 else code)

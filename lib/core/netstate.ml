@@ -164,6 +164,11 @@ let remove_dconn t id =
     Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
     Hashtbl.remove t.dconns id
 
+let set_primary t conn ch =
+  Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
+  conn.Dconn.primary <- ch;
+  Ids.Slab.set t.by_primary ch.Rtchan.Channel.id (Some conn)
+
 let find t id = Hashtbl.find_opt t.dconns id
 let dconns t = Hashtbl.fold (fun _ c acc -> c :: acc) t.dconns []
 let dconn_count t = Hashtbl.length t.dconns

@@ -59,6 +59,13 @@ val remove_dconn : t -> int -> unit
 (** Tear down a connection completely: primary bandwidth, every backup's
     multiplexing registration, and the registry entry. *)
 
+val set_primary : t -> Dconn.t -> Rtchan.Channel.t -> unit
+(** Point a registered connection's primary at another RNMP channel and
+    re-key the primary-channel index ({!conn_of_primary},
+    {!conns_with_primary_on}) from the old channel id to the new one.
+    Reservations are the caller's: this neither tears down the old
+    channel nor reserves the new one. *)
+
 val find : t -> int -> Dconn.t option
 val dconns : t -> Dconn.t list
 val dconn_count : t -> int

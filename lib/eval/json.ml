@@ -78,6 +78,14 @@ let to_string ?indent t =
   emit 0 t;
   Buffer.contents buf
 
+let write_text path text =
+  try Out_channel.with_open_text path (fun oc -> output_string oc text)
+  with Sys_error msg ->
+    Printf.eprintf "cannot write %s\n" msg;
+    exit 2
+
+let write_file path t = write_text path (to_string ~indent:2 t ^ "\n")
+
 (* ---------- parsing ---------- *)
 
 exception Parse_error of int * string

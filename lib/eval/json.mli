@@ -22,6 +22,15 @@ val to_string : ?indent:int -> t -> string
     without it the output is compact.  Deterministic: object members
     print in the order given. *)
 
+val write_file : string -> t -> unit
+(** [write_file path t] writes [t] to [path], pretty-printed with an
+    indent of 2 and a trailing newline.  An unwritable [path] is fatal:
+    one diagnostic line goes to stderr and the process exits with code
+    2, the CLI's usage-error code. *)
+
+val write_text : string -> string -> unit
+(** {!write_file} for text that is already rendered (e.g. JSON lines). *)
+
 val of_string : string -> (t, string) result
 (** Parse a JSON document.  Rejects trailing garbage.  Errors carry a
     byte offset and a short description. *)

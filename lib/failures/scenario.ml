@@ -69,6 +69,7 @@ let all_double_nodes topo =
 let sampled_double_nodes rng topo ~count =
   let n = Net.Topology.num_nodes topo in
   if n < 2 then invalid_arg "Scenario.sampled_double_nodes: need two nodes";
+  if count < 0 then invalid_arg "Scenario.sampled_double_nodes: negative count";
   let seen = Hashtbl.create count in
   let rec draw acc remaining guard =
     if remaining = 0 || guard = 0 then List.rev acc

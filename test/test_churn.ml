@@ -223,6 +223,23 @@ let test_cli_exit_codes () =
        "churn --seed 7 --network torus4 --events 2000 --offered 24 \
         --bandwidth 4 --max-blocking 1")
 
+(* The registry's count options reject negative values at parse time,
+   and an unwritable --json path is a diagnosed usage error rather than
+   an uncaught exception after the run. *)
+let test_cli_registry_errors () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (args ^ " exits 2") 2 (run_cli args))
+    [
+      "delay --scenarios=-3";
+      "chaos --scenarios=-1";
+      "fig9 --backups=-1";
+      "table1 --network torus4 --double-sample=-4";
+      "markov --json /nonexistent/x.json";
+    ];
+  Alcotest.(check int) "--scenarios=0 still runs" 0
+    (run_cli "delay --network torus4 --scenarios=0")
+
 let () =
   Alcotest.run "churn"
     [
@@ -243,5 +260,9 @@ let () =
             test_fault_episodes_green;
         ] );
       ( "cli",
-        [ Alcotest.test_case "exit codes" `Slow test_cli_exit_codes ] );
+        [
+          Alcotest.test_case "exit codes" `Slow test_cli_exit_codes;
+          Alcotest.test_case "registry usage errors" `Slow
+            test_cli_registry_errors;
+        ] );
     ]

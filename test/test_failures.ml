@@ -66,7 +66,12 @@ let test_validation () =
   Alcotest.(check bool) "bad node" true
     (raises (fun () -> ignore (Failures.Scenario.single_node t 99)));
   Alcotest.(check bool) "identical pair" true
-    (raises (fun () -> ignore (Failures.Scenario.double_node t 3 3)))
+    (raises (fun () -> ignore (Failures.Scenario.double_node t 3 3)));
+  Alcotest.(check bool) "negative sample count" true
+    (raises (fun () ->
+         ignore
+           (Failures.Scenario.sampled_double_nodes (Sim.Prng.create 1) t
+              ~count:(-4))))
 
 (* ---------- processes ---------- *)
 

@@ -146,6 +146,22 @@ let test_message_loss_identical () =
   check_identical "message_loss seed 42" (fun () ->
       Eval.Message_loss.report (Eval.Message_loss.run ~seed:42 Eval.Setup.Torus4))
 
+(* Every registry entry, at its CLI defaults on the 4x4 torus: the JSON
+   of its reports must not depend on the job count. *)
+let test_registry_identical () =
+  let args =
+    { Eval.Experiments.defaults with network = Eval.Setup.Torus4; show_setup = false }
+  in
+  let json (e : Eval.Experiments.t) jobs =
+    Sim.Pool.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Sim.Pool.set_jobs 1) @@ fun () ->
+    Eval.Json.to_string (Eval.Json.List (List.map Eval.Report.to_json (e.run args)))
+  in
+  List.iter
+    (fun (e : Eval.Experiments.t) ->
+      Alcotest.(check string) e.name (json e 1) (json e 2))
+    (Eval.Experiments.coverage :: Eval.Experiments.all)
+
 (* ---------- JSON round-trip ---------- *)
 
 let test_json_roundtrip () =
@@ -196,6 +212,7 @@ let () =
           Alcotest.test_case "recovery_delay" `Quick
             test_recovery_delay_identical;
           Alcotest.test_case "message_loss" `Quick test_message_loss_identical;
+          Alcotest.test_case "registry" `Slow test_registry_identical;
         ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip ] );

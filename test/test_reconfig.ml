@@ -71,6 +71,28 @@ let test_promotion () =
     (Bcp.Reconfig.protection_deficit ns);
   check_invariants ns
 
+(* A promotion re-keys the netstate's primary-channel index: the new
+   primary's failures reach the connection, and teardown leaves no stale
+   entry under either channel id. *)
+let test_promotion_rekeys_primary () =
+  let ns = torus_ns () in
+  let c = establish_exn ns 0 (request 0 5) in
+  let old_id = c.Bcp.Dconn.primary.Rtchan.Channel.id in
+  let failed = [ primary_link c ] in
+  let result = Bcp.Recovery.simulate ns ~failed in
+  let s = Bcp.Reconfig.commit ns ~failed ~result in
+  Alcotest.(check int) "promoted" 1 s.Bcp.Reconfig.promoted;
+  let new_id = c.Bcp.Dconn.primary.Rtchan.Channel.id in
+  let after = Bcp.Recovery.simulate ns ~failed:[ primary_link c ] in
+  Alcotest.(check int) "new primary's failure affects it" 1
+    after.Bcp.Recovery.affected;
+  Alcotest.(check (list int)) "affected connection" [ 0 ]
+    (List.map fst after.Bcp.Recovery.outcomes);
+  Bcp.Netstate.remove_dconn ns 0;
+  let indexed id = Bcp.Netstate.conn_of_primary ns id <> None in
+  Alcotest.(check bool) "old channel id unindexed" false (indexed old_id);
+  Alcotest.(check bool) "new channel id unindexed" false (indexed new_id)
+
 let test_unrecovered_removed () =
   let ns = torus_ns () in
   let c = establish_exn ns 0 (request 0 5) in
@@ -182,6 +204,8 @@ let () =
       ( "commit",
         [
           Alcotest.test_case "promotion" `Quick test_promotion;
+          Alcotest.test_case "promotion re-keys primary" `Quick
+            test_promotion_rekeys_primary;
           Alcotest.test_case "unrecovered removed" `Quick test_unrecovered_removed;
           Alcotest.test_case "end-node release" `Quick test_end_node_failure_releases;
           Alcotest.test_case "broken backups closed" `Quick
